@@ -12,7 +12,7 @@ from __future__ import annotations
 import zlib
 from typing import Dict, List
 
-from repro.errors import NoPathError
+from repro.errors import NoPathError, RoutingError
 from repro.routing.paths import Path
 from repro.routing.shortest import dijkstra
 from repro.topology.graph import Node, Topology
@@ -23,9 +23,12 @@ def all_shortest_paths(topo: Topology, source: Node, destination: Node) -> List[
 
     Paths are enumerated by walking the shortest-path DAG backwards
     from the destination and returned in lexicographic node order, so
-    the list is deterministic.
+    the list is deterministic.  The search stops at *destination*:
+    the levels the walk reads are complete by then.
     """
-    distances, _ = dijkstra(topo, source)
+    if not topo.has_node(destination):
+        raise RoutingError(f"unknown node: {destination!r}")
+    distances, _ = dijkstra(topo, source, target=destination)
     if destination not in distances:
         raise NoPathError(source, destination)
 

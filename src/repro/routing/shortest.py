@@ -1,29 +1,30 @@
 """Deterministic single-source shortest paths.
 
-Implemented from scratch (heap-based Dijkstra) so that tie-breaking is
-under our control: when several predecessors give the same distance,
-the lexicographically smallest ``repr`` wins, making routing tables
-stable across runs, platforms and networkx versions.
+Implemented from scratch so that tie-breaking is under our control:
+when several predecessors give the same distance, the one with the
+lowest :func:`~repro.topology.graph.node_rank` wins, making routing
+tables stable across runs and platforms.
+
+Both searches run on the topology's integer substrate, whose ids are
+in rank order.  Hop-count trees come from a level-order BFS: every
+level is scanned in id order, so the first node to discover a
+neighbour is its lowest-rank predecessor one hop closer, which is
+exactly the tie-break a heap Dijkstra keyed on ``(distance, rank)``
+settles on.  Weighted searches run that heap Dijkstra on the ids.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.errors import NoPathError, RoutingError
 from repro.routing.paths import Path
-from repro.topology.graph import Node, Topology
+from repro.topology.graph import Node, Substrate, Topology
 
 WeightFn = Callable[[Node, Node], float]
 
-
-def _hop_weight(_u: Node, _v: Node) -> float:
-    return 1.0
-
-
-def _node_rank(node: Node):
-    return (str(type(node).__name__), repr(node))
+Tree = Tuple[Dict[Node, float], Dict[Node, Node]]
 
 
 def dijkstra(
@@ -31,7 +32,7 @@ def dijkstra(
     source: Node,
     weight: Optional[WeightFn] = None,
     target: Optional[Node] = None,
-) -> Tuple[Dict[Node, float], Dict[Node, Node]]:
+) -> Tree:
     """Single-source shortest distances and predecessors.
 
     Parameters
@@ -40,56 +41,108 @@ def dijkstra(
         Callable ``(u, v) -> cost``; defaults to hop count, the metric
         used throughout the paper's evaluation.
     target:
-        Stop as soon as this node is settled.  The returned maps then
-        cover only the explored region, but the path to *target* (and
-        its tie-break) is exactly the one a full run would produce: a
-        settled node's predecessor chain can no longer change, and
-        every tie-break update for *target* comes from a node with a
-        strictly smaller distance, settled earlier.  This is what
-        makes per-flow routing on locality-bounded workloads cheap —
-        the search explores the neighbourhood, not the whole map.
+        Stop as soon as this node's path is final.  The returned maps
+        then cover only the explored region, but the path to *target*
+        (and its tie-break) is exactly the one a full run would
+        produce: a node's predecessor can only be replaced by a node
+        of strictly lower rank at the same distance, and every such
+        candidate is scanned before *target* is settled (weighted) or
+        discovered (hop count).  This is what makes per-flow routing
+        on locality-bounded workloads cheap — the search explores the
+        neighbourhood, not the whole map.
 
     Returns
     -------
     (distances, predecessors):
         ``distances[n]`` is the cost from *source*; nodes unreachable
         from *source* are absent.  ``predecessors[n]`` is the chosen
-        previous hop (deterministic tie-break).
+        previous hop (deterministic tie-break).  Both maps list nodes
+        in the order the search discovered them.
     """
     if not topo.has_node(source):
         raise RoutingError(f"unknown node: {source!r}")
-    weight = weight or _hop_weight
-    distances: Dict[Node, float] = {source: 0.0}
-    predecessors: Dict[Node, Node] = {}
-    visited = set()
-    frontier = [(0.0, _node_rank(source), source)]
+    substrate = topo.substrate()
+    index = substrate.index
+    stop = index.get(target, -1) if target is not None else -1
+    if weight is None:
+        dist, pred, order = _bfs(substrate, index[source], stop)
+    else:
+        dist, pred, order = _heap_dijkstra(substrate, index[source], stop, weight)
+    nodes = substrate.nodes
+    distances = {nodes[i]: float(dist[i]) for i in order}
+    predecessors = {nodes[i]: nodes[pred[i]] for i in order[1:]}
+    return distances, predecessors
+
+
+def _bfs(
+    substrate: Substrate, source: int, stop: int
+) -> Tuple[List[int], List[int], List[int]]:
+    """Level-order BFS: ``(dist, pred, discovery order)`` by id."""
+    adjacency = substrate.adjacency
+    dist = [-1] * len(adjacency)
+    pred = [-1] * len(adjacency)
+    dist[source] = 0
+    order = [source]
+    level = [source]
+    depth = 0
+    while level and source != stop:
+        depth += 1
+        found: List[int] = []
+        for node in level:
+            for neighbour in adjacency[node]:
+                if dist[neighbour] < 0:
+                    dist[neighbour] = depth
+                    pred[neighbour] = node
+                    found.append(neighbour)
+                    if neighbour == stop:
+                        order.extend(found)
+                        return dist, pred, order
+        order.extend(found)
+        found.sort()
+        level = found
+    return dist, pred, order
+
+
+def _heap_dijkstra(
+    substrate: Substrate, source: int, stop: int, weight: WeightFn
+) -> Tuple[List[Optional[float]], List[int], List[int]]:
+    """Heap Dijkstra with id tie-breaks: ``(dist, pred, discovery order)``."""
+    nodes, adjacency = substrate.nodes, substrate.adjacency
+    dist: List[Optional[float]] = [None] * len(nodes)
+    pred = [-1] * len(nodes)
+    visited = [False] * len(nodes)
+    dist[source] = 0.0
+    order = [source]
+    frontier = [(0.0, source)]
     while frontier:
-        dist, _, node = heapq.heappop(frontier)
-        if node in visited:
+        cost_so_far, node = heapq.heappop(frontier)
+        if visited[node]:
             continue
-        visited.add(node)
-        if target is not None and node == target:
+        visited[node] = True
+        if node == stop:
             break
-        for neighbour in topo.neighbors(node):
-            if neighbour in visited:
+        label = nodes[node]
+        for neighbour in adjacency[node]:
+            if visited[neighbour]:
                 continue
-            cost = weight(node, neighbour)
+            cost = weight(label, nodes[neighbour])
             if cost < 0:
-                raise RoutingError(f"negative link weight on {node!r} -- {neighbour!r}")
-            candidate = dist + cost
-            best = distances.get(neighbour)
+                raise RoutingError(
+                    f"negative link weight on {label!r} -- {nodes[neighbour]!r}"
+                )
+            candidate = cost_so_far + cost
+            best = dist[neighbour]
+            if best is None:
+                order.append(neighbour)
             if (
                 best is None
                 or candidate < best - 1e-12
-                or (
-                    abs(candidate - best) <= 1e-12
-                    and _node_rank(node) < _node_rank(predecessors[neighbour])
-                )
+                or (abs(candidate - best) <= 1e-12 and node < pred[neighbour])
             ):
-                distances[neighbour] = candidate
-                predecessors[neighbour] = node
-                heapq.heappush(frontier, (candidate, _node_rank(neighbour), neighbour))
-    return distances, predecessors
+                dist[neighbour] = candidate
+                pred[neighbour] = node
+                heapq.heappush(frontier, (candidate, neighbour))
+    return dist, pred, order
 
 
 def shortest_path(
@@ -104,30 +157,25 @@ def shortest_path(
     """
     if not topo.has_node(destination):
         raise RoutingError(f"unknown node: {destination!r}")
-    distances, predecessors = dijkstra(topo, source, weight, target=destination)
-    if destination not in distances:
-        raise NoPathError(source, destination)
-    path = [destination]
-    while path[-1] != source:
-        path.append(predecessors[path[-1]])
-    path.reverse()
-    return tuple(path)
+    tree = dijkstra(topo, source, weight, target=destination)
+    return path_from_tree(topo, source, destination, tree)
 
 
 def path_from_tree(
     topo: Topology,
     source: Node,
     destination: Node,
-    tree: Tuple[Dict[Node, float], Dict[Node, Node]],
+    tree: Tree,
 ) -> Path:
-    """The shortest path read out of a full single-source Dijkstra tree.
+    """The shortest path read out of a single-source Dijkstra tree.
 
-    ``tree`` is the ``(distances, predecessors)`` pair of a *full*
-    :func:`dijkstra` run from *source* (no ``target``).  Per the
-    tie-break argument in :func:`dijkstra`, the reconstructed path is
-    exactly what :func:`shortest_path` would return — callers routing
-    many destinations from the same source can amortise one tree over
-    all of them.  Raises :class:`NoPathError` when disconnected.
+    ``tree`` is the ``(distances, predecessors)`` pair of a
+    :func:`dijkstra` run from *source*, full or stopped at
+    *destination*.  Per the tie-break argument in :func:`dijkstra`,
+    the reconstructed path is exactly what :func:`shortest_path`
+    returns — callers routing many destinations from the same source
+    can amortise one full tree over all of them.  Raises
+    :class:`NoPathError` when disconnected.
     """
     if not topo.has_node(destination):
         raise RoutingError(f"unknown node: {destination!r}")
@@ -148,8 +196,9 @@ def shortest_path_length(
     weight: Optional[WeightFn] = None,
 ) -> float:
     """Cost of the shortest path (hops by default)."""
-    target = destination if topo.has_node(destination) else None
-    distances, _ = dijkstra(topo, source, weight, target=target)
+    if not topo.has_node(destination):
+        raise RoutingError(f"unknown node: {destination!r}")
+    distances, _ = dijkstra(topo, source, weight, target=destination)
     if destination not in distances:
         raise NoPathError(source, destination)
     return distances[destination]

@@ -1,9 +1,17 @@
 """Capacitated topology model with per-direction link capacities.
 
-:class:`Topology` wraps a :class:`networkx.Graph` and enforces the
-library-wide conventions: capacities in bits/s, delays in seconds and a
-routing weight per link (1.0 by default, i.e. hop-count routing as in
-the paper's flow-level evaluation).
+:class:`Topology` is an insertion-ordered adjacency map that enforces
+the library-wide conventions: capacities in bits/s, delays in seconds
+and a routing weight per link (1.0 by default, i.e. hop-count routing
+as in the paper's flow-level evaluation).
+
+Iteration orders are part of the contract, because samplers, allocator
+column layouts and detour tables inherit them: ``nodes()`` is insertion
+order, ``neighbors(n)`` is the order the links at *n* were added, and
+``links()`` visits nodes in order and, at each, the links to nodes not
+yet visited.  :meth:`Topology.copy` and :meth:`Topology.is_bridge`
+reorder neighbours in documented ways.  These orders are pinned by
+tests, so recorded results keep reproducing.
 
 The substrate is **directed**: every physical link carries one
 capacity per traversal direction, keyed by the traversal-order tuple
@@ -14,13 +22,27 @@ results exactly.  :meth:`Topology.directed_capacities` is the map the
 allocators consume; :func:`Link.key` is the single canonical
 normalization used when a direction-less identifier is needed (detour
 classification, serialisation, reporting).
+
+Routing runs on a separate integer view, :meth:`Topology.substrate`:
+the nodes relabelled to ids in :func:`node_rank` order, plus integer
+adjacency lists.  It is built lazily, dropped by every change to the
+node or link set, and never shared with a :meth:`Topology.copy`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Tuple, Union
-
-import networkx as nx
+from collections import deque
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.errors import TopologyError
 
@@ -88,6 +110,33 @@ def split_capacity_spec(capacity: CapacitySpec) -> Tuple[float, float]:
         ) from None
 
 
+def node_rank(node: Node) -> Tuple[str, str]:
+    """The deterministic routing order of nodes: type name, then ``repr``.
+
+    Shortest-path tie-breaks prefer the lowest-ranked predecessor, so
+    routing tables do not depend on insertion order, hash seeds or
+    platform; ``int`` and ``str`` nodes of one topology never compare
+    directly.
+    """
+    return (type(node).__name__, repr(node))
+
+
+class Substrate(NamedTuple):
+    """Integer view of a topology for the routing algorithms.
+
+    Node ids follow :func:`node_rank` (ties, which only distinct nodes
+    with equal type name and ``repr`` can produce, keep insertion
+    order), so comparing ids compares ranks.
+    """
+
+    #: id -> node, in rank order.
+    nodes: List[Node]
+    #: node -> id.
+    index: Dict[Node, int]
+    #: id -> neighbour ids, in :meth:`Topology.neighbors` order.
+    adjacency: List[List[int]]
+
+
 class Topology:
     """A capacitated network topology with per-direction capacities.
 
@@ -108,14 +157,22 @@ class Topology:
 
     def __init__(self, name: str = "topology"):
         self.name = name
-        self._graph = nx.Graph()
+        #: node -> {neighbour: link data}; one data dict per link,
+        #: shared by both orientations.
+        self._adj: Dict[Node, Dict[Node, dict]] = {}
+        self._num_links = 0
+        self._substrate: Optional[Substrate] = None
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def add_node(self, node: Node) -> Node:
         """Add *node* (idempotent) and return it."""
-        self._graph.add_node(node)
+        if node not in self._adj:
+            if node is None:
+                raise TopologyError("None cannot be a node")
+            self._adj[node] = {}
+            self._substrate = None
         return node
 
     def add_link(
@@ -150,7 +207,7 @@ class Topology:
             reverse = float(capacity_reverse)
         if u == v:
             raise TopologyError(f"self-loop not allowed: {u!r}")
-        if self._graph.has_edge(u, v):
+        if self.has_link(u, v):
             raise TopologyError(f"duplicate link: {u!r} -- {v!r}")
         if forward <= 0 or reverse <= 0:
             bad = forward if forward <= 0 else reverse
@@ -159,77 +216,84 @@ class Topology:
             raise TopologyError(f"delay must be non-negative, got {delay!r}")
         key = Link.key(u, v)
         cap_fwd, cap_rev = (forward, reverse) if (u, v) == key else (reverse, forward)
-        self._graph.add_edge(
+        self._connect(
             u,
             v,
-            capacity=cap_fwd,
-            capacity_rev=cap_rev,
-            delay=float(delay),
-            weight=float(weight),
+            {
+                "capacity": cap_fwd,
+                "capacity_rev": cap_rev,
+                "delay": float(delay),
+                "weight": float(weight),
+            },
         )
         return key
 
     def remove_link(self, u: Node, v: Node) -> None:
         """Remove the link between *u* and *v*."""
-        self._require_link(u, v)
-        self._graph.remove_edge(u, v)
+        self._link_data(u, v)
+        del self._adj[u][v]
+        del self._adj[v][u]
+        self._num_links -= 1
+        self._substrate = None
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
-        return self._graph.number_of_nodes()
+        return len(self._adj)
 
     @property
     def num_links(self) -> int:
-        return self._graph.number_of_edges()
+        return self._num_links
 
     def nodes(self) -> List[Node]:
         """All nodes, in insertion order."""
-        return list(self._graph.nodes())
+        return list(self._adj)
 
     def links(self) -> List[Link]:
         """All links as canonical ``(u, v)`` tuples."""
-        return [Link.key(u, v) for u, v in self._graph.edges()]
+        return [Link.key(u, v) for u, v, _ in self._edges()]
 
     def directed_links(self) -> Iterator[Link]:
         """Both orientations of every link (for per-direction state)."""
-        for u, v in self._graph.edges():
+        for u, v, _ in self._edges():
             yield (u, v)
             yield (v, u)
 
     def has_node(self, node: Node) -> bool:
-        return self._graph.has_node(node)
+        try:
+            return node in self._adj
+        except TypeError:  # unhashable: not a node
+            return False
 
     def has_link(self, u: Node, v: Node) -> bool:
-        return self._graph.has_edge(u, v)
+        try:
+            return v in self._adj[u]
+        except KeyError:
+            return False
 
     def neighbors(self, node: Node) -> List[Node]:
-        if not self._graph.has_node(node):
-            raise TopologyError(f"unknown node: {node!r}")
-        return list(self._graph.neighbors(node))
+        """Neighbours of *node*, in the order their links were added."""
+        return list(self._neighbour_map(node))
 
     def degree(self, node: Node) -> int:
-        if not self._graph.has_node(node):
-            raise TopologyError(f"unknown node: {node!r}")
-        return int(self._graph.degree(node))
+        return len(self._neighbour_map(node))
 
     def capacity(self, u: Node, v: Node) -> float:
         """Capacity of the ``u -> v`` direction of the link, in bits/s."""
-        self._require_link(u, v)
-        data = self._graph.edges[u, v]
+        data = self._link_data(u, v)
         if (u, v) == Link.key(u, v):
             return float(data["capacity"])
         return float(data["capacity_rev"])
 
     def delay(self, u: Node, v: Node) -> float:
         """One-way propagation delay of link ``(u, v)`` in seconds."""
-        return float(self._link_attr(u, v, "delay"))
+        return float(self._link_data(u, v)["delay"])
 
     def weight(self, u: Node, v: Node) -> float:
         """Routing weight of link ``(u, v)``."""
-        return float(self._link_attr(u, v, "weight"))
+        return float(self._link_data(u, v)["weight"])
 
     def set_capacity(self, u: Node, v: Node, capacity: CapacitySpec) -> None:
         """Set the link capacity.
@@ -246,48 +310,70 @@ class Topology:
         """Set the capacity of the ``u -> v`` direction only."""
         if capacity <= 0:
             raise TopologyError(f"capacity must be positive, got {capacity!r}")
-        self._require_link(u, v)
+        data = self._link_data(u, v)
         attr = "capacity" if (u, v) == Link.key(u, v) else "capacity_rev"
-        self._graph.edges[u, v][attr] = float(capacity)
+        data[attr] = float(capacity)
 
     def set_delay(self, u: Node, v: Node, delay: float) -> None:
         if delay < 0:
             raise TopologyError(f"delay must be non-negative, got {delay!r}")
-        self._require_link(u, v)
-        self._graph.edges[u, v]["delay"] = float(delay)
+        self._link_data(u, v)["delay"] = float(delay)
 
     def is_symmetric(self) -> bool:
         """True when every link has equal capacity in both directions."""
         return all(
-            data["capacity"] == data["capacity_rev"]
-            for _, _, data in self._graph.edges(data=True)
+            data["capacity"] == data["capacity_rev"] for _, _, data in self._edges()
         )
 
     def total_capacity(self) -> float:
         """Sum of canonical-direction link capacities, bits/s."""
-        return sum(data["capacity"] for _, _, data in self._graph.edges(data=True))
+        return sum(data["capacity"] for _, _, data in self._edges())
 
     def is_connected(self) -> bool:
         if self.num_nodes == 0:
             return True
-        return nx.is_connected(self._graph)
+        return len(self._reachable(0)) == self.num_nodes
 
     def is_bridge(self, u: Node, v: Node) -> bool:
-        """True if removing link ``(u, v)`` disconnects *u* from *v*."""
-        self._require_link(u, v)
-        data = dict(self._graph.edges[u, v])
-        self._graph.remove_edge(u, v)
-        try:
-            return not nx.has_path(self._graph, u, v)
-        finally:
-            self._graph.add_edge(u, v, **data)
+        """True if removing link ``(u, v)`` disconnects *u* from *v*.
+
+        Like the remove-and-re-add it stands for, this moves the link
+        to the end of both endpoints' neighbour order.
+        """
+        data = self._link_data(u, v)
+        index = self.substrate().index
+        bridge = index[v] not in self._reachable(index[u], skip=index[v])
+        self.remove_link(u, v)
+        self._connect(u, v, dict(data))
+        return bridge
+
+    def substrate(self) -> Substrate:
+        """The integer routing view of the current graph (cached)."""
+        substrate = self._substrate
+        if substrate is None:
+            order = sorted(self._adj, key=node_rank)
+            index = {node: i for i, node in enumerate(order)}
+            adjacency = [[index[m] for m in self._adj[node]] for node in order]
+            substrate = self._substrate = Substrate(order, index, adjacency)
+        return substrate
 
     # ------------------------------------------------------------------
     # Derivation
     # ------------------------------------------------------------------
     def copy(self, name: Optional[str] = None) -> "Topology":
+        """An independent copy (link data included).
+
+        Links are re-added in adjacency order, so each node's
+        neighbour order becomes its earlier-inserted neighbours first
+        (in node order), then the rest in their previous order.
+        """
         clone = Topology(name or self.name)
-        clone._graph = self._graph.copy()
+        adj = clone._adj = {node: {} for node in self._adj}
+        for u, neighbours in self._adj.items():
+            for v, data in neighbours.items():
+                if v not in adj[u]:
+                    adj[u][v] = adj[v][u] = dict(data)
+        clone._num_links = self._num_links
         return clone
 
     def without_link(self, u: Node, v: Node) -> "Topology":
@@ -295,15 +381,6 @@ class Topology:
         clone = self.copy(f"{self.name}-without-{u}-{v}")
         clone.remove_link(u, v)
         return clone
-
-    def to_networkx(self) -> nx.Graph:
-        """A defensive copy of the underlying :class:`networkx.Graph`."""
-        return self._graph.copy()
-
-    @property
-    def graph(self) -> nx.Graph:
-        """The live underlying graph (read-only use by routing code)."""
-        return self._graph
 
     @classmethod
     def from_links(
@@ -322,16 +399,49 @@ class Topology:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _require_link(self, u: Node, v: Node) -> None:
-        if not self._graph.has_edge(u, v):
-            raise TopologyError(f"unknown link: {u!r} -- {v!r}")
+    def _connect(self, u: Node, v: Node, data: dict) -> None:
+        self.add_node(u)
+        self.add_node(v)
+        self._adj[u][v] = self._adj[v][u] = data
+        self._num_links += 1
+        self._substrate = None
 
-    def _link_attr(self, u: Node, v: Node, attr: str):
-        self._require_link(u, v)
-        return self._graph.edges[u, v][attr]
+    def _edges(self) -> Iterator[Tuple[Node, Node, dict]]:
+        """Every link once, as ``(u, v, data)`` with *u* inserted first."""
+        seen = set()
+        for u, neighbours in self._adj.items():
+            for v, data in neighbours.items():
+                if v not in seen:
+                    yield u, v, data
+            seen.add(u)
+
+    def _reachable(self, start: int, skip: int = -1) -> set:
+        """Ids reachable from *start*, not stepping from *start* to *skip*."""
+        adjacency = self.substrate().adjacency
+        seen = {start}
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            for neighbour in adjacency[node]:
+                if neighbour not in seen and not (node == start and neighbour == skip):
+                    seen.add(neighbour)
+                    queue.append(neighbour)
+        return seen
+
+    def _neighbour_map(self, node: Node) -> Dict[Node, dict]:
+        try:
+            return self._adj[node]
+        except (KeyError, TypeError):
+            raise TopologyError(f"unknown node: {node!r}") from None
+
+    def _link_data(self, u: Node, v: Node) -> dict:
+        try:
+            return self._adj[u][v]
+        except KeyError:
+            raise TopologyError(f"unknown link: {u!r} -- {v!r}") from None
 
     def __contains__(self, node: Node) -> bool:
-        return self._graph.has_node(node)
+        return self.has_node(node)
 
     def __repr__(self) -> str:
         return f"Topology({self.name!r}, nodes={self.num_nodes}, links={self.num_links})"
@@ -342,10 +452,7 @@ class Topology:
         Only meaningful on symmetric topologies (one scalar per link);
         allocators index per direction via :meth:`directed_capacities`.
         """
-        return {
-            Link.key(u, v): float(data["capacity"])
-            for u, v, data in self._graph.edges(data=True)
-        }
+        return {Link.key(u, v): float(data["capacity"]) for u, v, data in self._edges()}
 
     def directed_capacities(self) -> Dict[Link, float]:
         """Mapping of directed ``(u, v)`` link -> capacity (bits/s).
@@ -354,7 +461,7 @@ class Topology:
         flow-level allocators consume.
         """
         capacities: Dict[Link, float] = {}
-        for u, v, data in self._graph.edges(data=True):
+        for u, v, data in self._edges():
             key = Link.key(u, v)
             fwd, rev = float(data["capacity"]), float(data["capacity_rev"])
             if (u, v) == key:

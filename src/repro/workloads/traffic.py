@@ -11,6 +11,7 @@ million-flow runs out of memory), or materialised as a list
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
@@ -74,22 +75,23 @@ def local_pairs(
     rng = make_rng(seed, "local-pairs")
 
     def _candidates(source: Node) -> List[Node]:
-        from collections import deque
-
-        seen = {source: 0}
-        queue = deque([source])
+        # BFS over the integer substrate, neighbours in insertion order.
+        nodes, index, adjacency = topo.substrate()
+        seen = {index[source]: 0}
+        queue = deque(seen)
         found: List[Node] = []
         while queue:
             node = queue.popleft()
-            if seen[node] >= max_hops:
+            hops = seen[node] + 1
+            if hops > max_hops:
                 continue
-            for neighbour in topo.neighbors(node):
+            for neighbour in adjacency[node]:
                 if neighbour in seen:
                     continue
-                seen[neighbour] = seen[node] + 1
+                seen[neighbour] = hops
                 queue.append(neighbour)
-                if seen[neighbour] >= 2 and topo.degree(neighbour) >= min_degree:
-                    found.append(neighbour)
+                if hops >= 2 and len(adjacency[neighbour]) >= min_degree:
+                    found.append(nodes[neighbour])
         return found
 
     def _sample() -> Tuple[Node, Node]:

@@ -1,11 +1,13 @@
 """ECMP enumeration and hashing tests."""
 
+import networkx as nx
 import pytest
 
-from repro.errors import NoPathError
+from repro.errors import NoPathError, RoutingError
+from repro.rng import make_rng
 from repro.routing import all_shortest_paths, ecmp_hash, ecmp_path_for_flow
 from repro.routing.ecmp import ecmp_path_table
-from repro.topology import Topology
+from repro.topology import Topology, build_isp_topology
 
 
 @pytest.fixture
@@ -27,6 +29,31 @@ def test_disconnected_raises():
     topo = Topology.from_links([(0, 1), (2, 3)])
     with pytest.raises(NoPathError):
         all_shortest_paths(topo, 0, 2)
+
+
+def test_unknown_destination_raises_routing_error():
+    topo = Topology.from_links([(0, 1), (1, 2)])
+    with pytest.raises(RoutingError, match="unknown node: 99") as raised:
+        all_shortest_paths(topo, 0, 99)
+    assert not isinstance(raised.value, NoPathError)
+    with pytest.raises(RoutingError, match="unknown node: 99"):
+        all_shortest_paths(topo, 99, 0)
+
+
+def test_equal_cost_sets_match_networkx():
+    # The search stops at the destination; the set must still be complete.
+    topo = build_isp_topology("exodus", seed=0)
+    graph = nx.Graph(topo.links())
+    nodes = topo.nodes()
+    rng = make_rng(5, "ecmp-pairs")
+    for _ in range(200):
+        source = nodes[int(rng.integers(0, len(nodes)))]
+        destination = nodes[int(rng.integers(0, len(nodes)))]
+        expected = sorted(
+            (tuple(p) for p in nx.all_shortest_paths(graph, source, destination)),
+            key=lambda p: tuple(repr(n) for n in p),
+        )
+        assert all_shortest_paths(topo, source, destination) == expected
 
 
 def test_hash_stable_and_in_range():

@@ -38,7 +38,7 @@ def test_paths_are_loopless_and_sorted_by_cost():
 @pytest.mark.parametrize("seed", [1, 4])
 def test_matches_networkx_shortest_simple_paths(seed):
     topo = mesh_topology(12, extra_links=10, seed=seed)
-    graph = topo.to_networkx()
+    graph = nx.Graph(topo.links())
     expected = []
     for path in nx.shortest_simple_paths(graph, 0, 7):
         expected.append(len(path) - 1)

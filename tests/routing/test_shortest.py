@@ -34,10 +34,19 @@ def test_unknown_nodes_raise():
         shortest_path(topo, 99, 0)
 
 
+def test_unknown_destination_length_raises_routing_error():
+    topo = Topology.from_links([(0, 1)])
+    with pytest.raises(RoutingError, match="unknown node: 99") as raised:
+        shortest_path_length(topo, 0, 99)
+    assert not isinstance(raised.value, NoPathError)
+    with pytest.raises(RoutingError, match="unknown node: 99"):
+        shortest_path_length(topo, 99, 0)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_lengths_match_networkx(seed):
     topo = mesh_topology(30, extra_links=25, seed=seed)
-    graph = topo.to_networkx()
+    graph = nx.Graph(topo.links())
     expected = dict(nx.all_pairs_shortest_path_length(graph))
     for source, lengths in all_pairs_hop_counts(topo).items():
         assert lengths == expected[source]
