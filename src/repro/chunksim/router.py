@@ -21,7 +21,7 @@ is what the e2e baseline of Fig. 3 runs over.
 from __future__ import annotations
 
 from functools import partial
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.chunksim.config import ChunkSimConfig
 from repro.chunksim.engine import Simulator
@@ -33,6 +33,15 @@ from repro.errors import SimulationError
 from repro.routing.paths import Path
 from repro.topology.graph import Node
 from repro.units import BITS_PER_BYTE
+
+
+def _control_handler(link: SimLink, packet_class) -> Callable:
+    """The handler *link*'s receiver runs for *packet_class* packets."""
+    handlers = link.control_handlers
+    handler = handlers.get(packet_class) if handlers is not None else None
+    # Standalone links (unit tests) fall back to the receiver's generic
+    # dispatch.
+    return handler if handler is not None else link._deliver
 
 
 class Router:
@@ -58,9 +67,14 @@ class Router:
         #: Detour options per congested next hop: list of full paths
         #: ``(self, w1, [w2], next_hop)``.
         self.detour_options: Dict[Node, List[Path]] = {}
-        #: Gossiped backlog of neighbour interfaces:
-        #: (neighbour, its next hop) -> queued bytes.
-        self.neighbor_backlog: Dict[Tuple[Node, Node], int] = {}
+        #: Gossiped backlog of neighbour interfaces: neighbour -> the
+        #: latest snapshot it sent (its next hop -> queued bytes).
+        #: Snapshots are held by reference; a sender never mutates one
+        #: after sending it.
+        self.neighbor_backlog: Dict[Node, Dict[Node, int]] = {}
+        #: (link, neighbour's gossip handler) per interface, resolved by
+        #: the first gossip tick.
+        self._gossip_routes: Optional[List[Tuple[SimLink, Callable]]] = None
         # Local applications (set by the network builder).
         self.sender_app = None
         self.receiver_app = None
@@ -145,12 +159,7 @@ class Router:
         relay_handler = None
         data_iface = None
         if relay_link is not None:
-            handlers = relay_link.control_handlers
-            relay_handler = handlers.get(Request) if handlers is not None else None
-            if relay_handler is None:
-                # Standalone links (unit tests) fall back to the
-                # receiver's generic dispatch.
-                relay_handler = relay_link._deliver
+            relay_handler = _control_handler(relay_link, Request)
             if self._inrpp:
                 # The AIMD forwarder never reads anticipated rates or
                 # flow fair shares, so Eq. 1 bookkeeping is INRPP-only.
@@ -232,7 +241,10 @@ class Router:
     def _gossip_clear(self, option: Path) -> bool:
         """Check gossiped backlog of the option's onward links."""
         for hop_from, hop_to in zip(option[1:], option[2:]):
-            backlog = self.neighbor_backlog.get((hop_from, hop_to))
+            snapshot = self.neighbor_backlog.get(hop_from)
+            if snapshot is None:
+                continue
+            backlog = snapshot.get(hop_to)
             if backlog is not None and backlog >= self._high_wm_bytes:
                 return False
         return True
@@ -289,9 +301,10 @@ class Router:
     def start_gossip(self) -> None:
         if not self.config.gossip or self.mode != "inrpp":
             return
-        self.sim.call_after(self.config.ti, self._gossip_tick)
+        self._call_after(self.config.ti, self._gossip_tick)
 
     def _gossip_tick(self) -> None:
+        # A fresh snapshot each tick, since receivers keep it by reference.
         message = Gossip(
             origin=self.node_id,
             backlog_bytes={
@@ -299,13 +312,26 @@ class Router:
                 for neighbor, iface in self.ifaces.items()
             },
         )
-        for iface in self.ifaces.values():
-            iface.link.send_control(message)
-        self.sim.call_after(self.config.ti, self._gossip_tick)
+        routes = self._gossip_routes
+        if routes is None:
+            # Links and handlers are static after build, so each
+            # interface's delivery target is resolved once, as for
+            # requests.  Doing it here rather than in start_gossip keeps
+            # it out of network construction, where it slowed setup.
+            routes = self._gossip_routes = [
+                (iface.link, _control_handler(iface.link, Gossip))
+                for iface in self.ifaces.values()
+            ]
+        call_after = self._call_after
+        for link, handler in routes:
+            link.stats.control_packets += 1
+            call_after(link.delay_s, handler, message, link)
+        call_after(self.config.ti, self._gossip_tick)
 
     def _on_gossip(self, message: Gossip, via_link: Optional[SimLink] = None) -> None:
-        for next_hop, backlog in message.backlog_bytes.items():
-            self.neighbor_backlog[(message.origin, next_hop)] = backlog
+        # The snapshot covers every interface of the origin and one link
+        # delivers in order, so the latest one replaces the origin's view.
+        self.neighbor_backlog[message.origin] = message.backlog_bytes
 
     # ------------------------------------------------------------------
     # Drain hook: custody -> line, then wake the local sender.

@@ -30,8 +30,7 @@ from typing import (
 
 from repro.errors import SimulationError
 from repro.flowsim import kernel as _kernel
-from repro.flowsim.multipath import inrp_allocation
-from repro.flowsim.multipath import _rel_tol as _fill_rel_tol
+from repro.flowsim.multipath import _rel_tol, inrp_allocation
 from repro.routing.detour import DetourTable
 from repro.routing.paths import Path, cached_path_links
 
@@ -49,13 +48,6 @@ def _check_kernel(kernel: str) -> str:
             f"unknown kernel {kernel!r}; expected one of {', '.join(_KERNELS)}"
         )
     return kernel
-
-
-def _rel_tol(scale: float) -> float:
-    """Tolerance proportional to the magnitudes in play."""
-    if math.isinf(scale):
-        return _EPS
-    return _EPS * (1.0 + abs(scale))
 
 
 def max_min_allocation(
@@ -658,7 +650,7 @@ class IncrementalInrp:
         #: Saturation tolerances, hoisted out of the per-recompute fill
         #: (they depend only on each link's capacity).
         self._floors: Dict[LinkId, float] = {
-            link: _fill_rel_tol(capacity)
+            link: _rel_tol(capacity)
             for link, capacity in self._capacities.items()
         }
         self._dirty_links: Set[LinkId] = set()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.chunksim import ChunkNetwork, ChunkSimConfig
-from repro.chunksim.messages import Backpressure, DataChunk
+from repro.chunksim.messages import Backpressure, DataChunk, Gossip
 from repro.chunksim.tracing import Trace
 from repro.topology import Topology, fig3_topology, line_topology
 from repro.units import mbps
@@ -80,9 +80,75 @@ def test_gossip_state_propagates():
     net = ChunkNetwork(topo, mode="inrpp", config=config)
     net.sim.run(until=0.3)
     # Router 2 must know about node 3's interfaces by now.
-    assert any(
-        origin == 3 for origin, _ in net.routers[2].neighbor_backlog
-    )
+    assert 3 in net.routers[2].neighbor_backlog
+
+
+def _gossip_line():
+    # 0 -- 1 -- 2 with a 2 Mbps bottleneck out of router 1, so the
+    # backlog router 1 gossips keeps changing under a long transfer.
+    topo = Topology()
+    topo.add_link(0, 1, capacity=mbps(10), delay=0.01)
+    topo.add_link(1, 2, capacity=mbps(2), delay=0.01)
+    net = ChunkNetwork(topo, mode="inrpp", config=ChunkSimConfig(ti=0.05))
+    net.add_flow(0, 2, num_chunks=10_000_000)
+    origin = net.routers[1]
+    sent = []  # (arrival time, receiver, message, copy made at send time)
+    call_after = origin._call_after
+
+    def spy(delay, fn, *args):
+        if args and isinstance(args[0], Gossip):
+            message, link = args
+            sent.append(
+                (net.sim.now + delay, link.dst, message, dict(message.backlog_bytes))
+            )
+        call_after(delay, fn, *args)
+
+    # The first tick is already scheduled; every later one, and every
+    # delivery, goes through the spy.
+    origin._call_after = spy
+    return net, origin, sent
+
+
+def test_gossip_view_is_the_snapshot_sent_one_delay_earlier():
+    net, origin, sent = _gossip_line()
+    neighbour = net.routers[0]
+    differs_from_live = False
+    checked = 0
+    while checked < 40:
+        net.sim.run(until=net.sim.now + 0.01)
+        arrivals = [entry for entry in sent if entry[1] == 0]
+        if not arrivals:
+            continue
+        arrival, _, message, copy = arrivals[-1]
+        net.sim.run(until=arrival)
+        view = neighbour.neighbor_backlog[1]
+        assert view is message.backlog_bytes
+        assert view == copy
+        live = {
+            hop: iface.link.queue_bytes + iface.custody.used_bytes
+            for hop, iface in origin.ifaces.items()
+        }
+        differs_from_live = differs_from_live or view != live
+        checked += 1
+        sent.clear()
+    # Otherwise the test could not tell a snapshot from the live state.
+    assert differs_from_live
+
+
+def test_gossip_snapshots_are_never_mutated_after_sending():
+    net, origin, sent = _gossip_line()
+    net.sim.run(until=1.0)
+    held = net.routers[0].neighbor_backlog[1]
+    held_copy = dict(held)
+    net.sim.run(until=3.0)
+    assert held == held_copy
+    for _, _, message, copy in sent:
+        assert message.backlog_bytes == copy
+    snapshots = [message.backlog_bytes for _, _, message, _ in sent]
+    # One fresh dict per tick, shared by both neighbours, and the
+    # backlog moved meanwhile.
+    assert len({id(snapshot) for snapshot in snapshots}) == len(sent) // 2
+    assert any(snapshot != held_copy for snapshot in snapshots)
 
 
 def test_aimd_mode_has_no_detour_or_custody():
