@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Flow-level simulator core benchmark: incremental vs reference vs auto.
+"""Flow-level simulator core benchmark: vectorized vs reference vs auto.
 
 Runs a set of calibrated operating points through the
 `FlowLevelSimulator` cores and reports wall-clock speedups plus
@@ -7,11 +7,15 @@ cross-core equivalence (per-flow completion times and delivered bits
 within 1e-6 relative) and incremental-vs-scratch allocator verification
 (re-checked every recompute on a bounded slice; must stay within 1e-9).
 
+``speedup`` is reference seconds over vectorized seconds;
+``auto_vs_best`` (overload only) is auto seconds over the better of
+reference and vectorized.
+
 Points:
 
 ``sp-calibrated``
     The PR-3 point: sprint map, SP, local pairs within 4 hops, rho < 1.
-    Dirty max-min components are small; the incremental core wins big.
+    Dirty max-min components are small; the event core wins big.
 ``inrp-calibrated``
     The paper's own strategy through the detour-closure allocator
     (`IncrementalInrp`): sprint, local pairs within 3 hops, rho < 1.
@@ -27,6 +31,11 @@ Points:
     bidirectional uniform pairs, so traffic genuinely exercises
     per-direction link state through the detour-closure allocator and
     the CSR kernel.
+``inrp-pooled``
+    The inrp-calibrated point with partial pooling
+    (``pooling_fraction=0.5``): detours may borrow only half of each
+    link, so the kernel's reserve saturations and primary-only columns
+    are checked against the reference core and the scratch solver.
 
 Unlike the pytest-benchmark drivers next door, this is a standalone
 script so CI can run it and diff-check the JSON record against the
@@ -78,7 +87,7 @@ POINTS = {
         flows_full=10_000,
         flows_smoke=2_000,
         verify_flows=2_000,
-        cores=("reference", "incremental", "vectorized"),
+        cores=("reference", "vectorized"),
     ),
     "inrp-calibrated": dict(
         isp="sprint",
@@ -92,7 +101,7 @@ POINTS = {
         flows_full=10_000,
         flows_smoke=2_000,
         verify_flows=600,
-        cores=("reference", "incremental", "vectorized"),
+        cores=("reference", "vectorized"),
     ),
     "inrp-overload": dict(
         isp="exodus",
@@ -106,7 +115,7 @@ POINTS = {
         flows_full=1_500,
         flows_smoke=500,
         verify_flows=200,
-        cores=("reference", "incremental", "vectorized", "auto"),
+        cores=("reference", "vectorized", "auto"),
     ),
     "inrp-directed": dict(
         isp="sprint",
@@ -121,7 +130,22 @@ POINTS = {
         flows_full=6_000,
         flows_smoke=800,
         verify_flows=400,
-        cores=("reference", "incremental", "vectorized"),
+        cores=("reference", "vectorized"),
+    ),
+    "inrp-pooled": dict(
+        isp="sprint",
+        strategy="inrp",
+        pooling_fraction=0.5,
+        arrival_rate=800.0,
+        mean_size_mbit=2.5,
+        demand_mbps=10.0,
+        pairs="local",
+        max_hops=3,
+        seed=1,
+        flows_full=4_000,
+        flows_smoke=800,
+        verify_flows=400,
+        cores=("reference", "vectorized"),
     ),
 }
 
@@ -172,8 +196,13 @@ def build_specs(point, num_flows):
     return topo, workload.generate(max_flows=num_flows)
 
 
-def run_core(topo, strategy_name, specs, core, verify=False, adaptive=None):
-    strategy = make_strategy(strategy_name, topo)
+def run_core(point, topo, specs, core, verify=False, adaptive=None):
+    strategy_kwargs = (
+        {"pooling_fraction": point["pooling_fraction"]}
+        if "pooling_fraction" in point
+        else {}
+    )
+    strategy = make_strategy(point["strategy"], topo, **strategy_kwargs)
     sim = FlowLevelSimulator(
         topo,
         strategy,
@@ -217,7 +246,7 @@ def run_point(name, point, num_flows, verify_flows, adaptive=None):
     results, seconds, full_refills = {}, {}, {}
     for core in point["cores"]:
         results[core], seconds[core] = run_core(
-            topo, point["strategy"], specs, core, adaptive=adaptive
+            point, topo, specs, core, adaptive=adaptive
         )
         full_refills[core] = results[core].full_refills
         print(f"  {core:12s} core: {seconds[core]:8.2f}s", flush=True)
@@ -228,38 +257,25 @@ def run_point(name, point, num_flows, verify_flows, adaptive=None):
         if core != "reference"
     )
     speedup = (
-        seconds["reference"] / seconds["incremental"]
-        if seconds["incremental"] > 0
+        seconds["reference"] / seconds["vectorized"]
+        if seconds["vectorized"] > 0
         else math.inf
     )
     print(
         f"  speedup {speedup:.2f}x, worst record deviation {worst:.2e}",
         flush=True,
     )
-    vectorized_speedup = None
-    if "vectorized" in seconds:
-        vectorized_speedup = (
-            seconds["incremental"] / seconds["vectorized"]
-            if seconds["vectorized"] > 0
-            else math.inf
-        )
-        print(
-            f"  vectorized vs incremental: {vectorized_speedup:.2f}x",
-            flush=True,
-        )
     auto_vs_best = None
     if "auto" in seconds:
-        best = min(seconds["reference"], seconds["incremental"])
+        best = min(seconds["reference"], seconds["vectorized"])
         auto_vs_best = seconds["auto"] / best if best > 0 else math.inf
         print(f"  auto vs best-of-others: {auto_vs_best:.2f}x", flush=True)
 
-    # Every recompute of the newest allocator core re-checked against
-    # the from-scratch solver (quadratic, so on a bounded slice).
-    verify_core = "vectorized" if "vectorized" in point["cores"] else "incremental"
+    # Every recompute of the event core re-checked against the
+    # from-scratch solver (quadratic, so on a bounded slice).
+    verify_core = "vectorized"
     verify_specs = specs[: min(len(specs), verify_flows)]
-    verified, _ = run_core(
-        topo, point["strategy"], verify_specs, verify_core, verify=True
-    )
+    verified, _ = run_core(point, topo, verify_specs, verify_core, verify=True)
     max_deviation = verified.max_verify_deviation or 0.0
     print(
         f"  {verify_core} allocator verified from scratch on "
@@ -280,6 +296,7 @@ def run_point(name, point, num_flows, verify_flows, adaptive=None):
                 "pairs",
                 "max_hops",
                 "capacity_asymmetry",
+                "pooling_fraction",
                 "seed",
             )
             if key in point
@@ -287,9 +304,6 @@ def run_point(name, point, num_flows, verify_flows, adaptive=None):
         "num_flows": num_flows,
         "seconds": {core: round(value, 4) for core, value in seconds.items()},
         "speedup": round(speedup, 3),
-        "vectorized_speedup": (
-            None if vectorized_speedup is None else round(vectorized_speedup, 3)
-        ),
         "auto_vs_best": None if auto_vs_best is None else round(auto_vs_best, 3),
         "worst_record_deviation": worst,
         "equivalent": worst <= TOLERANCE,
@@ -505,13 +519,6 @@ def check_against(record, committed_path):
                 f"{name}: speedup regressed {baseline['speedup']}x -> "
                 f"{fresh['speedup']}x (floor is 40% of committed)"
             )
-        if baseline.get("vectorized_speedup") and fresh.get("vectorized_speedup"):
-            if fresh["vectorized_speedup"] < 0.4 * baseline["vectorized_speedup"]:
-                failures.append(
-                    f"{name}: vectorized speedup regressed "
-                    f"{baseline['vectorized_speedup']}x -> "
-                    f"{fresh['vectorized_speedup']}x (floor is 40% of committed)"
-                )
         if baseline.get("auto_vs_best") and fresh.get("auto_vs_best"):
             ceiling = max(1.6, 1.8 * baseline["auto_vs_best"])
             if fresh["auto_vs_best"] > ceiling:
@@ -537,13 +544,6 @@ def main(argv=None):
         help="CI-sized run (per-point smoke sizes) with allocator verification",
     )
     parser.add_argument("--min-inrp-speedup", type=float, default=None)
-    parser.add_argument(
-        "--min-vectorized-speedup",
-        type=float,
-        default=None,
-        help="fail if the vectorized core is below this multiple of the "
-        "incremental core at any calibrated (non-overload) point",
-    )
     # Adaptive ``core="auto"`` policy knobs, passed through to the
     # simulator at every point so the sweep harness can explore them
     # (defaults: the simulator's own).
@@ -670,20 +670,6 @@ def main(argv=None):
                 file=sys.stderr,
             )
             status = 1
-    if args.min_vectorized_speedup is not None:
-        for name in ("sp-calibrated", "inrp-calibrated"):
-            point_record = record["points"].get(name)
-            if point_record and (
-                (point_record.get("vectorized_speedup") or math.inf)
-                < args.min_vectorized_speedup
-            ):
-                print(
-                    f"FAIL: {name}: vectorized speedup "
-                    f"{point_record['vectorized_speedup']}x below "
-                    f"{args.min_vectorized_speedup}x",
-                    file=sys.stderr,
-                )
-                status = 1
     if args.max_auto_ratio is not None:
         overload = record["points"].get("inrp-overload")
         if overload and overload["auto_vs_best"] > args.max_auto_ratio:

@@ -10,13 +10,17 @@ existing record at once.
 Records land under ``<root>/<scenario>/<run_key>.json`` and are written
 deterministically (sorted keys, fixed indentation, trailing newline),
 so the same run produces byte-identical files — a property the test
-suite asserts.
+suite asserts.  Each write goes to a temporary file in the same
+directory that is then renamed over the record, so a crash mid-write
+leaves the previous record (or none), never a torn one.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import uuid
 import warnings
 from pathlib import Path
 from typing import Any, Dict, Iterator, Mapping, Optional, Union
@@ -52,6 +56,26 @@ def run_key(scenario: str, params: Mapping[str, Any]) -> str:
             f"JSON-serialisable: {exc}"
         ) from exc
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()[:16]
+
+
+def _write_atomically(path: Path, text: str) -> None:
+    """Write *text* to *path* through a same-directory temporary file
+    and :func:`os.replace`: readers see the old file or the new one.
+    The temporary name ends in ``.tmp``, so record globs never see it,
+    and it is removed when the write fails."""
+    temporary = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.write(text)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temporary, path)
+    except BaseException:
+        try:
+            os.unlink(temporary)
+        except OSError:
+            pass
+        raise
 
 
 class ResultStore:
@@ -108,7 +132,7 @@ class ResultStore:
             ) from exc
         path = self.path_for(scenario, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(encoded)
+        _write_atomically(path, encoded)
         return path
 
     def iter_records(

@@ -12,8 +12,9 @@ provides:
   further growth through alternative sub-paths (1-hop detours, with
   one extra hop allowed on the detour path, as in the paper);
 - :mod:`~repro.flowsim.kernel` — the vectorized CSR filling kernel
-  shared by both incremental allocators (``kernel="vectorized"`` /
-  the simulator's ``core="vectorized"``);
+  behind both incremental allocators and so behind the simulator's
+  event cores (``core="auto"``/``"vectorized"``), partial pooling
+  included;
 - :mod:`~repro.flowsim.strategies` — SP / ECMP / INRP strategy objects;
 - :mod:`~repro.flowsim.simulator` — an event-driven simulator with
   per-event rate recomputation (arrivals, departures, completion),

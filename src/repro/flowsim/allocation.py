@@ -39,16 +39,6 @@ LinkId = Hashable
 
 _EPS = 1e-9
 
-_KERNELS = ("scalar", "vectorized")
-
-
-def _check_kernel(kernel: str) -> str:
-    if kernel not in _KERNELS:
-        raise SimulationError(
-            f"unknown kernel {kernel!r}; expected one of {', '.join(_KERNELS)}"
-        )
-    return kernel
-
 
 def max_min_allocation(
     capacities: Mapping[LinkId, float],
@@ -149,10 +139,10 @@ def max_min_allocation(
 class _ComponentTracker:
     """Amortized connectivity over the link-sharing relation.
 
-    The scalar incremental cores re-discover the dirty component with a
-    per-event BFS over the link-membership dicts — exact, but O(component
-    incidence) of Python dict traffic on *every* event.  The vectorized
-    kernel instead keeps a union-find over live flows: an arriving flow
+    A per-event BFS over the link-membership dicts finds the dirty
+    component exactly, but costs O(component incidence) of Python dict
+    traffic on *every* event.  The incremental allocators instead keep
+    a union-find over live flows for their refills: an arriving flow
     unions with one representative per link it touches (all flows that
     ever shared a link are provably in one class), a departing flow is
     merely unlinked from its class's member set, and the whole structure
@@ -271,9 +261,12 @@ class IncrementalMaxMin:
     flow's rate untouched.  On an event-driven simulation this turns
     the per-event cost from O(all flows) into O(affected component).
 
-    The returned rates are exactly those of
-    :func:`max_min_allocation` from scratch (the test suite asserts
-    equality on randomized churn sequences; ``verify=True`` re-checks
+    The component comes from an amortized union-find
+    (:class:`_ComponentTracker`) and is filled by the CSR kernel
+    (:func:`repro.flowsim.kernel.maxmin_fill`) over a tombstoned
+    incidence store.  The returned rates are those of
+    :func:`max_min_allocation` from scratch to <= 1e-9 (the test suite
+    asserts it on randomized churn sequences; ``verify=True`` re-checks
     after every recompute, for benchmarks and debugging).
     """
 
@@ -284,7 +277,6 @@ class IncrementalMaxMin:
         self,
         capacities: Mapping[LinkId, float],
         verify: bool = False,
-        kernel: str = "scalar",
         compact_slack: float = 0.5,
         min_compact_nnz: int = 4096,
     ):
@@ -298,23 +290,13 @@ class IncrementalMaxMin:
         self._dirty_links: Set[LinkId] = set()
         self._dirty_flows: Set[FlowId] = set()
         self._verify = verify
-        self._kernel = _check_kernel(kernel)
-        if self._kernel == "vectorized":
-            self._space: Optional[_kernel.LinkSpace] = _kernel.LinkSpace(
-                self._capacities
-            )
-            self._store: Optional[_kernel.IncidenceStore] = (
-                _kernel.IncidenceStore(
-                    self._space,
-                    compact_slack=compact_slack,
-                    min_compact_nnz=min_compact_nnz,
-                )
-            )
-            self._tracker: Optional[_ComponentTracker] = _ComponentTracker()
-        else:
-            self._space = None
-            self._store = None
-            self._tracker = None
+        self._space = _kernel.LinkSpace(self._capacities)
+        self._store = _kernel.IncidenceStore(
+            self._space,
+            compact_slack=compact_slack,
+            min_compact_nnz=min_compact_nnz,
+        )
+        self._tracker = _ComponentTracker()
         #: Worst relative incremental-vs-scratch rate deviation seen by
         #: ``verify=True`` (0.0 until the first verified recompute).
         self.max_verify_deviation = 0.0
@@ -350,14 +332,13 @@ class IncrementalMaxMin:
         if not links:
             # Source == destination: unconstrained, never shares a link.
             self._dirty_flows.add(flow)
-        if self._store is not None:
-            # The scalar solver collapses duplicate links via member
-            # sets; the kernel counts entries, so dedupe defensively.
-            if len(links) != len(set(links)):
-                links = tuple(dict.fromkeys(links))
-            self._store.add(flow, self._space.columns(links), float(demand))
-            if links:
-                self._tracker.add(flow, links)
+        # The scratch solver collapses duplicate links via member sets;
+        # the kernel counts entries, so dedupe defensively.
+        if len(links) != len(set(links)):
+            links = tuple(dict.fromkeys(links))
+        self._store.add(flow, self._space.columns(links), float(demand))
+        if links:
+            self._tracker.add(flow, links)
 
     def remove_flow(self, flow: FlowId) -> None:
         """Deregister a departing flow; its component becomes dirty."""
@@ -374,67 +355,29 @@ class IncrementalMaxMin:
                 if not members:
                     del self._members[link]
             self._dirty_links.add(link)
-        if self._store is not None:
-            self._store.remove(flow)
-            if links:
-                self._tracker.remove(flow)
+        self._store.remove(flow)
+        if links:
+            self._tracker.remove(flow)
 
     def recompute(self, full: bool = False) -> Dict[FlowId, float]:
-        """Re-fill the dirty components; return their new rate vectors.
+        """Re-fill the dirty components; return the rates that moved.
 
-        The returned mapping covers exactly the flows whose rate *may*
-        have changed since the previous call (the closure of all links
-        touched by add/remove).  Flows outside it keep their previous
-        rates.  Returns ``{}`` when nothing is dirty.
+        The returned mapping covers every flow of the re-filled
+        component (the closure of all links touched by add/remove)
+        whose rate differs from the previous fill, plus every flow
+        filled for the first time.  Flows outside it keep their
+        previous rates.  Returns ``{}`` when nothing is dirty.  The
+        tracker may re-fill a superset of the true dirty component,
+        which yields identical rates (components allocate
+        independently).
 
         With ``full=True`` the whole population is re-filled in one
-        pass, skipping the dirty-component search entirely.  The
-        adaptive ``core="auto"`` of the simulator uses this when the
-        dirty component keeps spanning the active set (deep overload),
-        where the component BFS and subset copies are pure overhead.
+        pass, skipping the dirty-component search entirely, and every
+        rate comes back.  The adaptive ``core="auto"`` of the simulator
+        uses this when the dirty component keeps spanning the active
+        set (deep overload), where the component search and subset
+        copies are pure overhead.
         """
-        if self._kernel == "vectorized":
-            return self._recompute_vectorized(full)
-        if full:
-            changed = max_min_allocation(
-                self._capacities, self._flow_links, self._demands
-            )
-            self._rates = dict(changed)
-            self._dirty_links.clear()
-            self._dirty_flows.clear()
-            if self._verify:
-                self._check_against_scratch()
-            return changed
-        if not self._dirty_links and not self._dirty_flows:
-            return {}
-        component = self._dirty_component()
-        changed: Dict[FlowId, float] = {}
-        for flow in self._dirty_flows:
-            changed[flow] = self._demands[flow]
-        if component:
-            changed.update(
-                max_min_allocation(
-                    self._capacities,
-                    {flow: self._flow_links[flow] for flow in component},
-                    {flow: self._demands[flow] for flow in component},
-                )
-            )
-        self._rates.update(changed)
-        self._dirty_links.clear()
-        self._dirty_flows.clear()
-        if self._verify:
-            self._check_against_scratch()
-        return changed
-
-    def _recompute_vectorized(
-        self, full: bool = False
-    ) -> Dict[FlowId, float]:
-        """The ``kernel="vectorized"`` re-fill: component selection via
-        the amortized union-find tracker, filling via
-        :func:`repro.flowsim.kernel.maxmin_fill`.  Same contract and
-        (to <= 1e-9) same results as the scalar path; the tracker may
-        return a superset of the true dirty component, which re-fills
-        to identical rates (components allocate independently)."""
         store = self._store
         if full:
             flows: List[FlowId] = store.live_flows()
@@ -562,12 +505,14 @@ class IncrementalInrp:
     :meth:`recompute` re-runs the fluid filling
     (:func:`~repro.flowsim.multipath.inrp_allocation`) over the dirty
     component alone — every other flow keeps its rate *and* its
-    per-path splits.
+    per-path splits.  Components come from an amortized union-find over
+    closures and are filled by the CSR kernel
+    (:func:`repro.flowsim.kernel.inrp_fill`), partial pooling included.
 
-    The rates returned are exactly those of a from-scratch
-    ``inrp_allocation`` over the whole population (``verify=True``
-    cross-checks after every recompute and records the worst observed
-    deviation in :attr:`max_verify_deviation`).
+    The rates returned are those of a from-scratch ``inrp_allocation``
+    over the whole population to <= 1e-9 (``verify=True`` cross-checks
+    after every recompute and records the worst observed deviation in
+    :attr:`max_verify_deviation`).
 
     Parameters mirror :func:`~repro.flowsim.multipath.inrp_allocation`;
     ``max_replacements`` additionally bounds the closure depth.
@@ -584,7 +529,6 @@ class IncrementalInrp:
         max_switches_per_flow: int = 16,
         verify: bool = False,
         verify_tol: float = 1e-9,
-        kernel: str = "scalar",
         compact_slack: float = 0.5,
         min_compact_nnz: int = 4096,
         pooling_fraction: float = 1.0,
@@ -602,39 +546,22 @@ class IncrementalInrp:
                 f"pooling_fraction must be in [0, 1], got {pooling_fraction}"
             )
         self._pooling_fraction = pooling_fraction
-        if pooling_fraction < 1.0 and kernel == "vectorized":
-            # The CSR kernel implements full pooling only; partial
-            # pooling falls back to the scalar component refill.
-            kernel = "scalar"
-        self._kernel = _check_kernel(kernel)
-        if self._kernel == "vectorized":
-            self._space: Optional[_kernel.LinkSpace] = _kernel.LinkSpace(
-                self._capacities
-            )
-            # The incidence store holds each flow's *primary* columns
-            # and demand for the fill's bulk gather; component
-            # selection goes through the amortized union-find tracker
-            # over closures (the scalar path keeps the PR 3/5
-            # closure-membership BFS, which ``verify=True`` also uses
-            # to build the pinned-usage guard).
-            self._primary_store: Optional[_kernel.IncidenceStore] = (
-                _kernel.IncidenceStore(
-                    self._space,
-                    compact_slack=compact_slack,
-                    min_compact_nnz=min_compact_nnz,
-                )
-            )
-            self._tracker: Optional[_ComponentTracker] = _ComponentTracker()
-            #: Per-(u, v) detour option columns, shared across fills.
-            self._option_cache: Dict = {}
-            #: Per-path global column arrays, shared across fills.
-            self._path_cols_cache: Dict = {}
-        else:
-            self._space = None
-            self._primary_store = None
-            self._tracker = None
-            self._option_cache = {}
-            self._path_cols_cache = {}
+        self._space = _kernel.LinkSpace(self._capacities)
+        # The incidence store holds each flow's *primary* columns and
+        # demand for the fill's bulk gather; component selection goes
+        # through the amortized union-find tracker over closures (the
+        # closure-membership BFS serves the adaptive probe and, under
+        # ``verify=True``, the pinned-usage guard).
+        self._primary_store = _kernel.IncidenceStore(
+            self._space,
+            compact_slack=compact_slack,
+            min_compact_nnz=min_compact_nnz,
+        )
+        self._tracker = _ComponentTracker()
+        #: Per-(u, v) detour option columns, shared across fills.
+        self._option_cache: Dict = {}
+        #: Per-path global column arrays, shared across fills.
+        self._path_cols_cache: Dict = {}
         self._paths: Dict[FlowId, Path] = {}
         self._demands: Dict[FlowId, float] = {}
         self._order: Dict[FlowId, int] = {}
@@ -647,12 +574,6 @@ class IncrementalInrp:
         #: Per-link running usage, maintained only under ``verify=True``
         #: to feed the :meth:`_pinned_usage` guard; see that docstring.
         self._usage: Dict[LinkId, float] = {}
-        #: Saturation tolerances, hoisted out of the per-recompute fill
-        #: (they depend only on each link's capacity).
-        self._floors: Dict[LinkId, float] = {
-            link: _rel_tol(capacity)
-            for link, capacity in self._capacities.items()
-        }
         self._dirty_links: Set[LinkId] = set()
         self._dirty_flows: Set[FlowId] = set()
         #: Active flows with an empty closure (src == dst): they carry
@@ -708,12 +629,11 @@ class IncrementalInrp:
             # Source == destination: never shares a link with anyone.
             self._dirty_flows.add(flow)
             self._no_closure.add(flow)
-        if self._primary_store is not None:
-            self._primary_store.add(
-                flow, self._space.columns(cached_path_links(path)), float(demand)
-            )
-            if closure:
-                self._tracker.add(flow, closure)
+        self._primary_store.add(
+            flow, self._space.columns(cached_path_links(path)), float(demand)
+        )
+        if closure:
+            self._tracker.add(flow, closure)
 
     def remove_flow(self, flow: FlowId) -> None:
         """Deregister a departing flow; its closure component becomes dirty."""
@@ -736,10 +656,9 @@ class IncrementalInrp:
                 if not members:
                     del self._members[link]
             self._dirty_links.add(link)
-        if self._primary_store is not None:
-            self._primary_store.remove(flow)
-            if closure:
-                self._tracker.remove(flow)
+        self._primary_store.remove(flow)
+        if closure:
+            self._tracker.remove(flow)
 
     def _account_usage(
         self, splits: Sequence[Tuple[Path, float]], sign: float
@@ -796,91 +715,6 @@ class IncrementalInrp:
         the whole population is re-filled (the adaptive core's
         fallback for spanning components).
         """
-        if self._kernel == "vectorized":
-            return self._recompute_vectorized(full)
-        if not full and not self._dirty_links and not self._dirty_flows:
-            return {}, {}, 0
-        changed_rates: Dict[FlowId, float] = {}
-        changed_splits: Dict[FlowId, List[Tuple[Path, float]]] = {}
-        for flow in self._dirty_flows:
-            changed_rates[flow] = self._demands[flow]
-            changed_splits[flow] = [(self._paths[flow], 0.0)]
-        if full:
-            # ``self._paths`` is insertion-ordered and flows are added
-            # exactly once, so it already enumerates the population in
-            # arrival order — no sort, and when every active flow has a
-            # closure (the common case; only src == dst flows do not)
-            # the registry dicts feed the fill without copies.
-            if len(self._no_closure) == len(self._paths):
-                component_map: Mapping[FlowId, Path] = {}
-            elif self._no_closure:
-                component_map = {
-                    flow: path
-                    for flow, path in self._paths.items()
-                    if flow not in self._no_closure
-                }
-            else:
-                component_map = self._paths
-            capacities: Mapping[LinkId, float] = self._capacities
-            pinned: Optional[Dict[LinkId, float]] = None
-        else:
-            component, reach = self._dirty_component()
-            # The re-fill can only ever touch the component's closure
-            # links; restricting the capacity map keeps its setup cost
-            # proportional to the component, not the topology.
-            capacities = {link: self._capacities[link] for link in reach}
-            # Pinned usage exists only as a verify-mode guard: the
-            # dirty-component BFS collects *every* flow with a closure
-            # link in ``reach``, so no outside flow can carry traffic
-            # there and the pinned map is zero by construction.
-            pinned = (
-                self._pinned_usage(component, reach) if self._verify else None
-            )
-            ordered = sorted(component, key=self._order.__getitem__)
-            component_map = {flow: self._paths[flow] for flow in ordered}
-        if component_map is self._paths:
-            demands: Mapping[FlowId, float] = self._demands
-        else:
-            demands = {flow: self._demands[flow] for flow in component_map}
-        switches = 0
-        if component_map:
-            result = inrp_allocation(
-                capacities,
-                component_map,
-                demands,
-                self._table,
-                max_replacements=self._max_replacements,
-                max_switches_per_flow=self._max_switches,
-                pinned_usage=pinned,
-                saturation_floors=self._floors,
-                pooling_fraction=self._pooling_fraction,
-            )
-            switches = result.switches
-            for flow, splits in result.splits.items():
-                if self._verify:
-                    self._account_usage(self._splits.get(flow, []), -1.0)
-                    self._account_usage(splits, +1.0)
-                self._splits[flow] = splits
-            changed_rates.update(result.rates)
-            changed_splits.update(result.splits)
-        self._rates.update(changed_rates)
-        for flow in self._dirty_flows:
-            self._splits[flow] = changed_splits[flow]
-        self._dirty_links.clear()
-        self._dirty_flows.clear()
-        if self._verify:
-            self._check_against_scratch()
-        return changed_rates, changed_splits, switches
-
-    def _recompute_vectorized(
-        self, full: bool = False
-    ) -> Tuple[
-        Dict[FlowId, float], Dict[FlowId, List[Tuple[Path, float]]], int
-    ]:
-        """The ``kernel="vectorized"`` re-fill: component selection via
-        the closure store's vectorized BFS, filling via
-        :func:`repro.flowsim.kernel.inrp_fill`.  Same contract and
-        (to <= 1e-9) same results as the scalar path."""
         if not full and not self._dirty_links and not self._dirty_flows:
             return {}, {}, 0
         changed_rates: Dict[FlowId, float] = {}
@@ -935,6 +769,7 @@ class IncrementalInrp:
                 capacity_count=capacity_count,
                 option_cache=self._option_cache,
                 path_cols_cache=self._path_cols_cache,
+                pooling_fraction=self._pooling_fraction,
             )
             switches = result.switches
             for flow, splits in result.splits.items():
@@ -957,7 +792,7 @@ class IncrementalInrp:
         self, component: Set[FlowId], reach: Set[LinkId]
     ) -> Optional[List[Tuple[int, float]]]:
         """:meth:`_pinned_usage` translated to kernel ``(column, used)``
-        pairs (verify-only, like the scalar guard it wraps)."""
+        pairs (verify-only, like the guard it wraps)."""
         pinned = self._pinned_usage(component, reach)
         if not pinned:
             return None
@@ -978,7 +813,7 @@ class IncrementalInrp:
         run from over-committing a link while the scratch cross-check
         flags the divergence.  Because of that invariant the usage
         bookkeeping feeding this guard runs only under ``verify=True``;
-        production recomputes skip it and pass ``pinned_usage=None``.
+        production recomputes skip it and pass no ``pinned`` columns.
         """
         pinned: Dict[LinkId, float] = {}
         for link in reach:

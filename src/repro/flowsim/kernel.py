@@ -20,9 +20,10 @@ representation of the flow-link incidence:
   debit link headroom — is ``np.minimum``/``np.bincount``-style vector
   arithmetic;
 - :func:`inrp_fill` runs the INRP fluid filling (the semantics of
-  :func:`repro.flowsim.multipath.inrp_allocation`): the filling rounds
-  are vectorized, while the rare detour-replacement decisions reuse
-  the scalar splice/option logic against the shared residual vector.
+  :func:`repro.flowsim.multipath.inrp_allocation`, partial pooling
+  included): the filling rounds are vectorized, while the rare
+  detour-replacement decisions reuse the scalar splice/option logic
+  against the shared residual vector.
 
 The two fills pick different column layouts.  :func:`maxmin_fill`
 *compresses columns*: its working vectors cover only the links the
@@ -573,6 +574,7 @@ def inrp_fill(
     capacity_count: Optional[int] = None,
     option_cache: Optional[Dict] = None,
     path_cols_cache: Optional[Dict] = None,
+    pooling_fraction: float = 1.0,
 ) -> MultipathAllocation:
     """INRP fluid allocation with vectorized filling rounds.
 
@@ -590,19 +592,26 @@ def inrp_fill(
     *persistent across fills* — the caches are built once per
     topology, not once per recompute.
 
-    ``in_reach`` names the columns of the component-restricted
-    capacity map of the scalar path; the fill only uses it to validate
-    ``pinned``, because by the closure invariant (every link a
-    component fill can read lies inside some member's closure, hence
-    inside the reach) the restriction itself is unobservable.
-    ``pinned`` debits
-    ``(column, used)`` pairs from starting residuals (the
-    ``pinned_usage`` guard of the incremental allocator);
-    ``capacity_count`` sizes the non-convergence guard like the scalar
-    ``len(capacities)``.  ``option_cache`` and ``path_cols_cache``
-    memoize per-(u, v) detour option columns and per-path column
-    arrays across fills — pass persistent dicts when calling
-    repeatedly over one topology.
+    ``in_reach`` names the columns of the dirty component's closure
+    links; the fill only uses it to validate ``pinned``, because by the
+    closure invariant (every link a component fill can read lies inside
+    some member's closure, hence inside the reach) a restriction to it
+    would be unobservable.  ``pinned`` debits ``(column, used)`` pairs
+    from starting residuals (the verify-mode guard of the incremental
+    allocator); ``capacity_count`` sizes the non-convergence guard like
+    the scalar ``len(capacities)``.  ``option_cache`` and
+    ``path_cols_cache`` memoize per-(u, v) detour option columns and
+    per-path column arrays across fills — pass persistent dicts when
+    calling repeatedly over one topology.
+
+    ``pooling_fraction < 1`` keeps a reserve of ``(1 - f) * capacity``
+    on every finite column for primary-path traffic: an entry carries a
+    *detour* flag when its column is off the flow's primary path, a
+    column with detour carriers also saturates (for those carriers
+    only) when its residual reaches the reserve, detour options are
+    scored by ``residual - reserve``, and the reroute walk treats a
+    non-primary column as saturated at ``floor + reserve``.  At
+    ``f == 1`` none of this runs.
     """
     num_flows = len(flow_ids)
     demands = np.asarray(demands, dtype=np.float64)
@@ -614,11 +623,19 @@ def inrp_fill(
         option_cache = {}
     if path_cols_cache is None:
         path_cols_cache = {}
+    if not 0.0 <= pooling_fraction <= 1.0:
+        raise SimulationError(
+            f"pooling_fraction must be in [0, 1], got {pooling_fraction}"
+        )
     index = space.index
     num_links = space.num_links
     floors = space.floor  # read-only view, never mutated
 
     residual = space.capacity.copy()
+    # Spare capacity a detour may borrow: the residual itself under full
+    # pooling (an alias, so it tracks every in-place debit), the
+    # residual above the reserve under partial pooling.
+    headroom = residual
     if pinned:
         for col, used in pinned:
             if used < 0:
@@ -661,10 +678,33 @@ def inrp_fill(
     rows_of_flow: List[List[int]] = [[flow] for flow in range(num_flows)]
     switches = np.zeros(num_flows, dtype=np.int64)
 
+    pooled = pooling_fraction < 1.0
+    if pooled:
+        reserve = (1.0 - pooling_fraction) * space.capacity
+        reserve[np.isinf(space.capacity)] = 0.0
+        has_reserve = reserve > 0.0
+        reserve_floors = floors + reserve
+        # Per entry: the column is off the flow's primary path.  Primary
+        # rows come first, so every initial entry is a primary one.
+        e_detour = np.zeros(len(e_cols), dtype=bool)
+        # Live detour entries per column (``counts`` covers all carriers).
+        detour_counts = np.zeros(num_links, dtype=np.int64)
+        reserve_steps = np.empty(num_links, dtype=np.float64)
+        primary_col_sets: Dict[Path, AbstractSet[int]] = {}
+    detour_sat_cols: AbstractSet[int] = frozenset()
+
+    def _primary_cols(flow: int) -> AbstractSet[int]:
+        primary = sub_path[flow]  # row ``flow`` is the flow's primary row
+        found = primary_col_sets.get(primary)
+        if found is None:
+            found = frozenset(_path_cols(primary)[1])
+            primary_col_sets[primary] = found
+        return found
+
     def _append_row(
         flow: int, path: Path, lcols: np.ndarray, replacements: int
     ) -> int:
-        nonlocal e_cols, e_flow, e_active, e_nnz, num_rows, carried
+        nonlocal e_cols, e_flow, e_active, e_detour, e_nnz, num_rows, carried
         row = num_rows
         length = len(lcols)
         e_cols = _grow(e_cols, e_nnz + length)
@@ -673,6 +713,16 @@ def inrp_fill(
         e_cols[e_nnz : e_nnz + length] = lcols
         e_flow[e_nnz : e_nnz + length] = flow
         e_active[e_nnz : e_nnz + length] = True
+        if pooled:
+            primary = _primary_cols(flow)
+            detour = np.fromiter(
+                (col not in primary for col in lcols.tolist()),
+                dtype=bool,
+                count=length,
+            )
+            e_detour = _grow(e_detour, e_nnz + length)
+            e_detour[e_nnz : e_nnz + length] = detour
+            detour_counts[lcols[detour]] += 1
         sub_start.append(e_nnz)
         sub_len.append(length)
         sub_path.append(path)
@@ -706,6 +756,14 @@ def inrp_fill(
                     continue
                 e_active[start : start + length] = False
                 np.subtract.at(counts, e_cols[start : start + length], 1)
+                if pooled:
+                    np.subtract.at(
+                        detour_counts,
+                        e_cols[start : start + length][
+                            e_detour[start : start + length]
+                        ],
+                        1,
+                    )
             dead_rows.clear()
             return
         starts = np.fromiter(
@@ -728,6 +786,12 @@ def inrp_fill(
         np.subtract(
             counts, np.bincount(dead_cols, minlength=num_links), out=counts
         )
+        if pooled:
+            np.subtract(
+                detour_counts,
+                np.bincount(dead_cols[e_detour[entry]], minlength=num_links),
+                out=detour_counts,
+            )
 
     def _option_state(u, v) -> List:
         """Persistent per-(u, v) option arrays, built once per topology:
@@ -807,7 +871,7 @@ def inrp_fill(
             entries, positions, flat, starts, floors_arr = state
             live_spares = None
             if positions:
-                spares = np.minimum.reduceat(residual[flat], starts)
+                spares = np.minimum.reduceat(headroom[flat], starts)
                 live = spares > floors_arr
                 if live.all():
                     live_spares = spares.tolist()
@@ -893,21 +957,36 @@ def inrp_fill(
     # detours in the same order.  Affected flows sharing a route share
     # the walk, so the whole outcome is memoized per round alongside
     # the saturated-column set (both rebuilt in the saturation block).
+    # Under partial pooling the walk also depends on the flow's primary
+    # columns, so the primary path joins the memo key.
     sat_cols: AbstractSet[int] = frozenset()
-    reroute_memo: Dict[Tuple[Path, int], Optional[Tuple[Path, int]]] = {}
+    reroute_memo: Dict[Tuple, Optional[Tuple[Path, int]]] = {}
 
     def _walk(
-        candidate: Path, replacements: int
+        candidate: Path,
+        replacements: int,
+        primary: Optional[AbstractSet[int]] = None,
     ) -> Optional[Tuple[Path, int]]:
         """Splice detours until nothing on ``candidate`` is saturated;
-        ``None`` means the flow must freeze."""
+        ``None`` means the flow must freeze.  ``primary`` (partial
+        pooling only) holds the flow's primary columns: any other
+        column counts as saturated once its residual is down to its
+        reserve."""
         cols_list = _path_cols(candidate)[1]
         while True:
             position = -1
-            for position_candidate, col in enumerate(cols_list):
-                if col in sat_cols:
-                    position = position_candidate
-                    break
+            if primary is None:
+                for position_candidate, col in enumerate(cols_list):
+                    if col in sat_cols:
+                        position = position_candidate
+                        break
+            else:
+                for position_candidate, col in enumerate(cols_list):
+                    if col in detour_sat_cols and (
+                        col in sat_cols or col not in primary
+                    ):
+                        position = position_candidate
+                        break
             if position < 0:
                 return candidate, replacements
             if replacements >= max_replacements:
@@ -931,10 +1010,15 @@ def inrp_fill(
         row = int(active_row[flow])
         path = sub_path[row]
         replacements = sub_repl[row]
-        key = (path, replacements)
+        if pooled:
+            key = (path, replacements, sub_path[flow])
+        else:
+            key = (path, replacements)
         outcome = reroute_memo.get(key, _MISS)
         if outcome is _MISS:
-            outcome = _walk(path, replacements)
+            outcome = _walk(
+                path, replacements, _primary_cols(flow) if pooled else None
+            )
             reroute_memo[key] = outcome
         if outcome is None:
             return False
@@ -969,6 +1053,21 @@ def inrp_fill(
         steps.fill(np.inf)
         np.divide(residual, counts, out=steps, where=carrying)
         saturation_step = float(steps.min()) if num_links else math.inf
+        if pooled:
+            # Detour-borne growth stops at the reserve before the column
+            # itself saturates.
+            reserve_carrying = (detour_counts > 0) & has_reserve
+            reserve_steps.fill(np.inf)
+            np.divide(
+                residual - reserve,
+                counts,
+                out=reserve_steps,
+                where=reserve_carrying,
+            )
+            if num_links:
+                saturation_step = min(
+                    saturation_step, float(reserve_steps.min())
+                )
         step = max(0.0, min(demand_step, saturation_step))
 
         residual -= step * counts
@@ -983,21 +1082,40 @@ def inrp_fill(
         for flow in satisfied_flows:
             _freeze(int(flow), "demand")
 
-        # Saturation events: reroute or freeze affected flows.
+        # Saturation events: reroute or freeze affected flows.  A full
+        # saturation affects every carrier of the column; a reserve
+        # saturation (partial pooling) only its detour carriers.
         any_saturated = False
         if not math.isinf(saturation_step) and saturation_step <= (
             demand_step + _EPS * (1.0 + abs(demand_step))
         ):
-            saturated = carrying & (
-                steps
-                <= saturation_step + _EPS * (1.0 + abs(saturation_step))
-            )
-            if saturated.any():
+            limit = saturation_step + _EPS * (1.0 + abs(saturation_step))
+            saturated = carrying & (steps <= limit)
+            if pooled:
+                reserve_saturated = (
+                    reserve_carrying & (reserve_steps <= limit) & ~saturated
+                )
+                any_saturated = bool(reserve_saturated.any())
+            if any_saturated or saturated.any():
                 any_saturated = True
                 residual[saturated] = 0.0
+                if pooled:
+                    np.minimum(
+                        residual, reserve, out=residual, where=reserve_saturated
+                    )
                 sat_cols = set(np.flatnonzero(residual <= floors).tolist())
                 reroute_memo.clear()
                 hit = e_active[:e_nnz] & saturated[e_cols[:e_nnz]]
+                if pooled:
+                    headroom = residual - reserve
+                    detour_sat_cols = set(
+                        np.flatnonzero(residual <= reserve_floors).tolist()
+                    )
+                    hit |= (
+                        e_active[:e_nnz]
+                        & e_detour[:e_nnz]
+                        & reserve_saturated[e_cols[:e_nnz]]
+                    )
                 affected = np.unique(e_flow[:e_nnz][hit])
                 # ``affected`` is ascending == arrival order: older
                 # flows reroute first (the id-type invariant).  Flows

@@ -97,7 +97,7 @@ def splice_detour(path: Path, index: int, option: Path) -> Optional[Path]:
 
     *option* runs from ``path[index]`` to ``path[index + 1]``.  Returns
     None when the spliced path would revisit a node.  Shared by the
-    scalar filling below and the vectorized kernel
+    scalar filling below and the CSR kernel
     (:mod:`repro.flowsim.kernel`), whose reroute decisions must splice
     identically.
     """
@@ -109,10 +109,6 @@ def splice_detour(path: Path, index: int, option: Path) -> Optional[Path]:
     return candidate
 
 
-#: Backwards-compatible private alias (pre-kernel name).
-_splice = splice_detour
-
-
 def inrp_allocation(
     capacities: Mapping[LinkId, float],
     flow_paths: Mapping[FlowId, Path],
@@ -120,8 +116,6 @@ def inrp_allocation(
     detour_table: DetourTable,
     max_replacements: int = 2,
     max_switches_per_flow: int = 16,
-    pinned_usage: Optional[Mapping[LinkId, float]] = None,
-    saturation_floors: Optional[Mapping[LinkId, float]] = None,
     pooling_fraction: float = 1.0,
 ) -> MultipathAllocation:
     """INRP fluid allocation (see module docstring).
@@ -131,9 +125,7 @@ def inrp_allocation(
     capacities:
         Canonical link -> capacity (bits/s).
     flow_paths:
-        Primary (shortest) path per flow.  This may be any subset of
-        the active population: the incremental allocator re-runs the
-        filling over one detour-closure component at a time.
+        Primary (shortest) path per flow, in arrival order.
     detour_table:
         Pre-computed detour options; its ``max_intermediate`` controls
         detour depth (1 = the paper's one-hop detours).
@@ -141,21 +133,6 @@ def inrp_allocation(
         How many links of a single sub-path may be replaced by detours
         (2 models "nodes on the detour path can further detour, but
         for one extra hop only").
-    pinned_usage:
-        Bandwidth (bits/s) per link already consumed by flows *outside*
-        ``flow_paths`` whose allocation is held fixed.  Each link's
-        starting residual is its capacity minus its pinned usage.  Used
-        by :class:`repro.flowsim.allocation.IncrementalInrp` when
-        re-filling a single component while the others keep their
-        rates (for truly disjoint components every pinned value is
-        zero; the parameter makes the contract explicit and guards the
-        subset run against capacity over-commitment).
-    saturation_floors:
-        Pre-computed ``_rel_tol(capacity)`` per link.  Callers invoking
-        the filling repeatedly over the same topology (the incremental
-        allocator, the event cores) pass a shared map so it is not
-        rebuilt per call; any link missing from the map falls back to
-        the absolute epsilon.
     pooling_fraction:
         Partial resource pooling (paper knob): the fraction of each
         link's directional capacity that detour traffic may borrow.
@@ -180,20 +157,11 @@ def inrp_allocation(
         }
     flows: Dict[FlowId, _FlowState] = {}
     residual: Dict[LinkId, float] = dict(capacities)
-    if pinned_usage:
-        for link, used in pinned_usage.items():
-            if link not in residual:
-                raise SimulationError(f"pinned usage on unknown link {link!r}")
-            if used < 0:
-                raise SimulationError(f"negative pinned usage on link {link!r}")
-            residual[link] = max(residual[link] - used, 0.0)
     # Saturation floor per link, hoisted out of the filling rounds (the
     # tolerance depends only on the link's capacity).
-    floors: Mapping[LinkId, float] = (
-        saturation_floors
-        if saturation_floors is not None
-        else {link: _rel_tol(capacity) for link, capacity in capacities.items()}
-    )
+    floors: Mapping[LinkId, float] = {
+        link: _rel_tol(capacity) for link, capacity in capacities.items()
+    }
     # Sparse: only links currently carrying growing flows, and which
     # flows grow there.  The saturation scan below runs every filling
     # round, so iterating the handful of in-use links instead of the
@@ -306,7 +274,7 @@ def inrp_allocation(
                 option = _best_option((u, v), set(candidate))
                 if option is None:
                     return False
-                spliced = _splice(candidate, index, option)
+                spliced = splice_detour(candidate, index, option)
                 if spliced is None:
                     return False
                 candidate = spliced

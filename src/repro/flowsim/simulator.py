@@ -5,22 +5,24 @@ vector is recomputed at every flow arrival and departure; between
 events rates are constant, so deliveries and completion times are
 exact integrals.
 
-Two cores implement the loop:
+Two loops implement it:
 
-- the default **incremental** core keeps the next departure of every
-  flow in a lazy-invalidation heap (the tombstone pattern of
+- the **event** loop (``core="auto"``, the default, and
+  ``core="vectorized"``) keeps the next departure of every flow in a
+  lazy-invalidation heap (the tombstone pattern of
   :mod:`repro.chunksim.engine`: a stale entry is skipped when popped,
   never searched for), syncs each flow's delivered bits only when its
-  rate actually changes, and — for strategies whose sharing model is
-  e2e max-min — recomputes rates only for the connected component
-  dirtied by the event, via
-  :class:`repro.flowsim.allocation.IncrementalMaxMin`.  Same-instant
+  rate actually changes, and recomputes rates only for the component
+  dirtied by the event, via the strategy's incremental allocator
+  (:class:`repro.flowsim.allocation.IncrementalMaxMin` or
+  :class:`~repro.flowsim.allocation.IncrementalInrp`, both filling
+  through the CSR kernel of :mod:`repro.flowsim.kernel`).  Same-instant
   arrivals and departures are batched into a single recompute.  The
   per-event cost is O(affected component · log flows) instead of
   O(all active flows), which is what makes 100k-flow load sweeps
-  tractable.
-- the **reference** core is the original O(active)-per-event loop,
-  kept as the semantic baseline: equivalence tests assert both cores
+  tractable.  ``auto`` adds an adaptive fallback to full refills.
+- the **reference** loop is the original O(active)-per-event loop,
+  kept as the semantic baseline: equivalence tests assert the cores
   produce the same :class:`SimulationResult` (within float tolerance)
   and ``benchmarks/bench_flowsim.py`` measures the speedup against it.
 
@@ -71,7 +73,7 @@ __all__ = [
 
 _EPS = 1e-9
 
-_CORES = ("auto", "incremental", "vectorized", "reference")
+_CORES = ("auto", "vectorized", "reference")
 
 
 class _SpecSource:
@@ -236,15 +238,12 @@ class _IncrementalRecompute:
 class _AdaptiveCorePolicy:
     """Decides when ``core="auto"`` falls back to full refills.
 
-    ``core="auto"`` always runs the vectorized CSR kernel (it is the
-    fastest core at every calibrated bench point — 5.95x over the
-    scalar incremental core at the SP point and outright fastest at
-    the INRP overload point); what remains adaptive is *how much* each
-    recompute refills.  Dirty-component search pays off only while
-    components are small relative to the active set.  In deep overload
-    the population snowballs into one spanning component: every
-    recompute touches everything and the component search plus subset
-    copies are pure overhead.  The policy watches the fraction of
+    Every event core fills through the CSR kernel; what ``auto``
+    adapts is *how much* each recompute refills.  Dirty-component
+    search pays off only while components are small relative to the
+    active set.  In deep overload the population snowballs into one
+    spanning component: every recompute touches everything and the
+    component search plus subset copies are pure overhead.  The policy watches the fraction of
     active flows each incremental recompute returned; after
     ``patience`` consecutive recomputes above ``threshold`` (with at
     least ``min_active`` flows active, so tiny populations never flap)
@@ -319,16 +318,14 @@ class FlowLevelSimulator:
         instant count as completed; flows still active are reported as
         unfinished with their partial delivery.
     core:
-        ``"incremental"`` (departure heap + dirty-component
-        allocation, scalar solvers), ``"vectorized"`` (the same
-        machinery with the progressive-filling rounds run by the CSR
-        kernel of :mod:`repro.flowsim.kernel`), ``"reference"`` (the
-        original full-rescan loop) or ``"auto"`` (the default: the
-        vectorized kernel — fastest at every calibrated bench point —
-        plus an adaptive fallback to full refills while the dirty
-        component keeps spanning the active set, the deep-overload
-        regime where pure dirty-component search is slower than
-        refilling).  All cores produce the same
+        ``"vectorized"`` (departure heap + dirty-component allocation,
+        progressive-filling rounds run by the CSR kernel of
+        :mod:`repro.flowsim.kernel`), ``"reference"`` (the original
+        full-rescan loop, the oracle) or ``"auto"`` (the default:
+        ``"vectorized"`` plus an adaptive fallback to full refills
+        while the dirty component keeps spanning the active set, the
+        deep-overload regime where pure dirty-component search is
+        slower than refilling).  All cores produce the same
         :class:`SimulationResult` up to float tolerance.
     sink:
         Where finalized flows go: ``"materialize"`` (default; the
@@ -339,8 +336,9 @@ class FlowLevelSimulator:
     verify_allocator:
         When the strategy supports incremental allocation, re-check
         every incremental recompute against from-scratch
-        :func:`~repro.flowsim.allocation.max_min_allocation` (slow;
-        used by benchmarks and tests).
+        :func:`~repro.flowsim.allocation.max_min_allocation` or
+        :func:`~repro.flowsim.multipath.inrp_allocation` (slow; used by
+        benchmarks and tests).
     adaptive_threshold, adaptive_patience, adaptive_probe_every,
     adaptive_min_active:
         Knobs of the ``core="auto"`` fallback policy
@@ -412,9 +410,6 @@ class FlowLevelSimulator:
         self.adaptive_patience = adaptive_patience
         self.adaptive_probe_every = adaptive_probe_every
         self.adaptive_min_active = adaptive_min_active
-        #: Allocation kernel selected by the last ``run``/adapter build
-        #: ("scalar"/"vectorized"; None for full-recompute strategies).
-        self.kernel_used: Optional[str] = None
 
     def run(
         self,
@@ -433,7 +428,7 @@ class FlowLevelSimulator:
             if self.core == "reference":
                 raise ConfigurationError(
                     "checkpointing requires an event core "
-                    "('auto', 'incremental' or 'vectorized')"
+                    "('auto' or 'vectorized')"
                 )
         if pause_at is not None and pause_at <= 0:
             raise SimulationError(
@@ -454,19 +449,11 @@ class FlowLevelSimulator:
         )
 
     def _make_adapter(self):
-        # ``auto`` rides the vectorized kernel: per the committed bench
-        # trajectory it is at least as fast as the scalar solvers at
-        # every calibrated point (5.95x at sp-calibrated, fastest at
-        # inrp-overload), so adaptivity is only about full vs component
-        # refills, not about which kernel fills.
-        kernel = "vectorized" if self.core in ("auto", "vectorized") else "scalar"
         allocator = self.strategy.incremental_allocator(
-            verify=self.verify_allocator, kernel=kernel
+            verify=self.verify_allocator
         )
         if allocator is not None:
-            self.kernel_used = kernel
             return _IncrementalRecompute(allocator)
-        self.kernel_used = None
         return _FullRecompute(self.strategy)
 
     def _spec_source(self, skip: int = 0) -> _SpecSource:
@@ -772,7 +759,6 @@ class FlowLevelSimulator:
             total_switches,
             full_refills=policy.full_refills if policy else restored_refills,
             max_verify_deviation=max_deviation,
-            kernel=self.kernel_used,
         )
 
     def _run_reference(self) -> SimulationResult:
@@ -875,7 +861,6 @@ class FlowLevelSimulator:
         total_switches: int,
         full_refills: int = 0,
         max_verify_deviation: Optional[float] = None,
-        kernel: Optional[str] = None,
     ) -> SimulationResult:
         """Shared tail of both run loops: flows still active are
         reported unfinished (the caller has synced their deliveries),
@@ -898,7 +883,6 @@ class FlowLevelSimulator:
             total_switches=total_switches,
             full_refills=full_refills,
             max_verify_deviation=max_verify_deviation,
-            kernel=kernel,
         )
 
     @staticmethod

@@ -37,6 +37,13 @@ from repro.topology.graph import Node, Topology
 FlowId = Hashable
 
 
+def _check_kernel(kernel: str) -> None:
+    if kernel != "vectorized":
+        raise ConfigurationError(
+            f"unknown kernel {kernel!r}; the only kernel is 'vectorized'"
+        )
+
+
 @dataclass
 class AllocationOutcome:
     """Rates and per-path splits decided by a strategy."""
@@ -137,7 +144,7 @@ class RoutingStrategy(abc.ABC):
         """Allocate bandwidth to flows given ``{id: (path, demand)}``."""
 
     def incremental_allocator(
-        self, verify: bool = False, kernel: str = "scalar"
+        self, verify: bool = False, kernel: str = "vectorized"
     ):
         """Fresh incremental allocator, when the sharing model admits one.
 
@@ -145,13 +152,17 @@ class RoutingStrategy(abc.ABC):
         path per flow (SP, ECMP) return an
         :class:`~repro.flowsim.allocation.IncrementalMaxMin`; INRP
         returns an :class:`~repro.flowsim.allocation.IncrementalInrp`
-        over its detour-closure components.  The simulator then
+        over its detour-closure components.  Both fill through the CSR
+        kernel (:mod:`repro.flowsim.kernel`).  The simulator then
         recomputes only the component dirtied by each
-        arrival/departure.  ``kernel="vectorized"`` selects the CSR
-        filling kernel (:mod:`repro.flowsim.kernel`) inside those
-        allocators.  Strategies whose coupling really is global return
-        ``None`` and are recomputed in full.
+        arrival/departure.  Strategies whose coupling really is global
+        return ``None`` and are recomputed in full.
+
+        ``kernel`` names the filling kernel; ``"vectorized"`` is the
+        only one there is, and any other value raises
+        :class:`~repro.errors.ConfigurationError`.
         """
+        _check_kernel(kernel)
         return None
 
 
@@ -175,9 +186,10 @@ class ShortestPathStrategy(RoutingStrategy):
         return AllocationOutcome(rates=rates, splits=splits)
 
     def incremental_allocator(
-        self, verify: bool = False, kernel: str = "scalar"
+        self, verify: bool = False, kernel: str = "vectorized"
     ) -> Optional[IncrementalMaxMin]:
-        return IncrementalMaxMin(self.capacities, verify=verify, kernel=kernel)
+        _check_kernel(kernel)
+        return IncrementalMaxMin(self.capacities, verify=verify)
 
 
 class EcmpStrategy(ShortestPathStrategy):
@@ -273,18 +285,14 @@ class InrpStrategy(RoutingStrategy):
         )
 
     def incremental_allocator(
-        self, verify: bool = False, kernel: str = "scalar"
+        self, verify: bool = False, kernel: str = "vectorized"
     ) -> IncrementalInrp:
-        if self.pooling_fraction < 1.0 and kernel != "scalar":
-            # The CSR kernel implements full pooling only; partial
-            # pooling runs on the scalar recompute path.
-            kernel = "scalar"
+        _check_kernel(kernel)
         return IncrementalInrp(
             self.capacities,
             self.detour_table,
             max_replacements=self.max_replacements,
             verify=verify,
-            kernel=kernel,
             pooling_fraction=self.pooling_fraction,
         )
 

@@ -37,6 +37,49 @@ def test_save_load_roundtrip(tmp_path):
     assert store.load("demo", {"seed": 4}) is None
 
 
+def test_failed_write_keeps_previous_record_and_leaves_no_torn_file(
+    tmp_path, monkeypatch
+):
+    """A write that dies part-way (disk full, crash) must leave the
+    previous record readable and no partial file behind."""
+    import repro.campaign.store as store_module
+
+    store = ResultStore(tmp_path)
+    params = {"seed": 0}
+    path = store.save("demo", params, {"value": 1})
+    before = path.read_bytes()
+
+    class _DiesHalfway:
+        def __init__(self, handle):
+            self._handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._handle.close()
+            return False
+
+        def write(self, text):
+            self._handle.write(text[: len(text) // 2])
+            self._handle.flush()
+            raise OSError("no space left on device")
+
+    real_open = open
+    monkeypatch.setattr(
+        store_module,
+        "open",
+        lambda *args, **kwargs: _DiesHalfway(real_open(*args, **kwargs)),
+        raising=False,
+    )
+    with pytest.raises(OSError, match="no space"):
+        store.save("demo", params, {"value": 2, "padding": "x" * 4096})
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert store.load("demo", params)["result"] == {"value": 1}
+    assert sorted(p.name for p in path.parent.iterdir()) == [path.name]
+
+
 def test_stale_schema_treated_as_miss(tmp_path):
     store = ResultStore(tmp_path)
     params = {"seed": 0}

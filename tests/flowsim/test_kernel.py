@@ -58,7 +58,6 @@ def test_maxmin_kernel_matches_scratch_under_churn(seed):
     strategy = make_strategy("sp", topo)
     alloc = IncrementalMaxMin(
         topo.directed_capacities(),
-        kernel="vectorized",
         min_compact_nnz=8,
         compact_slack=0.2,
     )
@@ -95,7 +94,6 @@ def test_inrp_kernel_matches_scratch_under_churn(seed):
     alloc = IncrementalInrp(
         topo.directed_capacities(),
         table,
-        kernel="vectorized",
         min_compact_nnz=8,
         compact_slack=0.2,
     )
@@ -124,17 +122,106 @@ def test_inrp_kernel_matches_scratch_under_churn(seed):
     assert alloc._tracker.rebuilds > 0
 
 
+@pytest.mark.parametrize("pooling_fraction", [0.0, 0.25, 0.5])
+def test_pooled_inrp_kernel_matches_scratch_under_churn(pooling_fraction):
+    """Partial pooling runs through the CSR kernel: randomized churn
+    under ``verify=True`` (every recompute re-solved from scratch)
+    stays within 1e-9 of ``inrp_allocation`` at the same fraction.
+    The mix of infinite, large and small demands keeps both full and
+    reserve saturations (and detours) in play."""
+    topo = mesh_topology(16, extra_links=14, seed=5, capacity=mbps(10))
+    table = DetourTable(topo)
+    strategy = make_strategy("inrp", topo)
+    capacities = topo.directed_capacities()
+    alloc = IncrementalInrp(
+        capacities,
+        table,
+        verify=True,
+        min_compact_nnz=8,
+        compact_slack=0.2,
+        pooling_fraction=pooling_fraction,
+    )
+    rng = random.Random(11)
+    flow_paths, demands, live = {}, {}, set()
+    next_id = 0
+    total_switches = 0
+    for _ in range(110):
+        action, flow, path, demand = _churn_step(rng, live, next_id, topo, strategy)
+        if action == "remove":
+            live.discard(flow)
+            del flow_paths[flow], demands[flow]
+            alloc.remove_flow(flow)
+        else:
+            flow_paths[flow], demands[flow] = path, demand
+            alloc.add_flow(flow, path, demand)
+            live.add(flow)
+            next_id += 1
+        total_switches += alloc.recompute()[2]
+        scratch = inrp_allocation(
+            capacities,
+            flow_paths,
+            demands,
+            table,
+            pooling_fraction=pooling_fraction,
+        )
+        assert _relative_deviation(alloc.rates, scratch.rates) <= TOL
+    assert alloc.max_verify_deviation <= TOL
+    alloc._primary_store.check_consistency()
+    if pooling_fraction > 0.0:
+        assert total_switches > 0, "churn never detoured"
+    else:
+        # f = 0 reserves every link for primary traffic: no detours.
+        assert total_switches == 0
+
+
+def test_pooled_inrp_auto_matches_reference_on_sprint():
+    """Reference vs ``auto`` INRP records on the sprint map at
+    ``pooling_fraction=0.5``, within the cross-core bar of the tests
+    above."""
+    from repro.topology import build_isp_topology
+    from repro.workloads.traffic import local_pairs
+
+    topo = build_isp_topology("sprint", seed=1)
+    workload = FlowWorkload(
+        topo,
+        arrival_rate=800.0,
+        mean_size_bits=2.5e6,
+        demand_bps=mbps(10),
+        seed=1,
+        pair_sampler=local_pairs(topo, seed=2, max_hops=3),
+    )
+    specs = workload.generate(max_flows=150)
+    runs = {}
+    for core in ("reference", "auto"):
+        strategy = make_strategy("inrp", topo, pooling_fraction=0.5)
+        runs[core] = FlowLevelSimulator(topo, strategy, specs, core=core).run()
+    ref, auto = runs["reference"], runs["auto"]
+    assert ref.total_switches > 0, "no detours: the point does not pool"
+    assert len(ref.records) == len(auto.records)
+    for a, b in zip(ref.records, auto.records):
+        assert a.flow_id == b.flow_id
+        assert a.completed == b.completed
+        if a.completed:
+            assert b.fct == pytest.approx(a.fct, rel=1e-6, abs=1e-9)
+        assert b.delivered_bits == pytest.approx(
+            a.delivered_bits, rel=1e-6, abs=1e-3
+        )
+        assert b.stretch == pytest.approx(a.stretch, rel=1e-6, abs=1e-9)
+    assert auto.unfinished == ref.unfinished
+    assert auto.network_throughput == pytest.approx(
+        ref.network_throughput, rel=1e-6
+    )
+
+
 @pytest.mark.parametrize("kernel_cls", ["sp", "inrp"])
 def test_empty_and_single_flow_components(kernel_cls):
     """Degenerate shapes: no flows at all, a single flow, a zero-demand
     flow, and removal back down to empty."""
     topo = mesh_topology(8, extra_links=4, seed=0, capacity=mbps(10))
     if kernel_cls == "sp":
-        alloc = IncrementalMaxMin(topo.directed_capacities(), kernel="vectorized")
+        alloc = IncrementalMaxMin(topo.directed_capacities())
     else:
-        alloc = IncrementalInrp(
-            topo.directed_capacities(), DetourTable(topo), kernel="vectorized"
-        )
+        alloc = IncrementalInrp(topo.directed_capacities(), DetourTable(topo))
     alloc.recompute()
     assert alloc.rates == {}
 
@@ -200,7 +287,7 @@ def test_incidence_store_compaction_preserves_rows():
 def test_inrp_cross_core_overload_equivalence():
     """Reference vs vectorized INRP records at deep overload (spanning
     components, heavy detour churn).  ``total_switches`` is excluded:
-    both incremental cores re-fill only dirty components and so do not
+    the event cores re-fill only dirty components and so do not
     re-count the switches of untouched components."""
     topo = mesh_topology(14, extra_links=12, seed=2, capacity=mbps(10))
     workload = FlowWorkload(

@@ -8,7 +8,7 @@ from repro.topology import Topology, fig3_topology, line_topology, mesh_topology
 from repro.units import mbps
 from repro.workloads import FlowSpec, FlowWorkload, local_pairs
 
-CORES = ("incremental", "reference")
+CORES = ("vectorized", "reference")
 
 
 def _spec(flow_id, src, dst, t, size_bits, demand=mbps(10)):
@@ -149,6 +149,15 @@ def test_unknown_core_rejected():
         FlowLevelSimulator(topo, make_strategy("sp", topo), [], core="turbo")
 
 
+def test_removed_incremental_core_names_the_remaining_cores():
+    topo = line_topology(2)
+    with pytest.raises(ConfigurationError) as raised:
+        FlowLevelSimulator(
+            topo, make_strategy("sp", topo), [], core="incremental"
+        )
+    assert "auto, vectorized, reference" in str(raised.value)
+
+
 def _workload_specs(topo, seed, num_flows, arrival_rate=120.0):
     workload = FlowWorkload(
         topo,
@@ -177,7 +186,7 @@ def _assert_equivalent(ref, inc):
     assert inc.duration == pytest.approx(ref.duration, rel=1e-6)
     # Switch counts are a per-recompute diagnostic, not a flow metric:
     # the reference core re-performs every component's switches at each
-    # full fill, while the incremental core only counts the dirty
+    # full fill, while the event core only counts the dirty
     # component's.  With directed links the closure decomposition is
     # finer than the reference full fill, so the totals may differ even
     # though records, rates and aggregates agree exactly.
@@ -190,7 +199,7 @@ def _assert_equivalent(ref, inc):
 @pytest.mark.parametrize("strategy_name", ["sp", "ecmp", "inrp"])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_cores_equivalent_on_random_workloads(strategy_name, seed):
-    """The incremental core is a drop-in for the reference loop: same
+    """The vectorized event core is a drop-in for the reference loop: same
     records, same aggregates, for every strategy."""
     topo = mesh_topology(24, extra_links=20, seed=seed, capacity=mbps(10))
     num_flows = 60 if strategy_name == "inrp" else 150
@@ -199,7 +208,7 @@ def test_cores_equivalent_on_random_workloads(strategy_name, seed):
     for core in CORES:
         strategy = make_strategy(strategy_name, topo)
         runs[core] = FlowLevelSimulator(topo, strategy, specs, core=core).run()
-    _assert_equivalent(runs["reference"], runs["incremental"])
+    _assert_equivalent(runs["reference"], runs["vectorized"])
 
 
 @pytest.mark.parametrize("core", CORES)
@@ -225,7 +234,7 @@ def test_cores_equivalent_with_horizon():
         runs[core] = FlowLevelSimulator(
             topo, strategy, specs, horizon=0.6, core=core
         ).run()
-    _assert_equivalent(runs["reference"], runs["incremental"])
+    _assert_equivalent(runs["reference"], runs["vectorized"])
 
 
 def test_stretch_samples_exclude_unfinished_by_default():
@@ -256,22 +265,22 @@ def _spanning_component_specs(num_flows):
 def test_adaptive_core_falls_back_on_spanning_component():
     """core="auto" must notice that every dirty component spans the
     active set (population above the policy's min_active) and switch
-    to full refills; the plain incremental core never does."""
+    to full refills; the non-adaptive vectorized core never does."""
     topo = line_topology(2)
     specs = _spanning_component_specs(120)
     auto = FlowLevelSimulator(
         topo, make_strategy("sp", topo), specs, core="auto"
     ).run()
     assert auto.full_refills > 0
-    incremental = FlowLevelSimulator(
-        topo, make_strategy("sp", topo), specs, core="incremental"
+    vectorized = FlowLevelSimulator(
+        topo, make_strategy("sp", topo), specs, core="vectorized"
     ).run()
-    assert incremental.full_refills == 0
+    assert vectorized.full_refills == 0
     reference = FlowLevelSimulator(
         topo, make_strategy("sp", topo), specs, core="reference"
     ).run()
     _assert_equivalent(reference, auto)
-    _assert_equivalent(reference, incremental)
+    _assert_equivalent(reference, vectorized)
 
 
 def _overload_specs(topo, seed, num_flows):
@@ -294,16 +303,16 @@ def _overload_specs(topo, seed, num_flows):
 def test_inrp_cores_equivalent_at_overload(seed):
     """All three cores produce the same records for INRP in the
     deep-overload regime (spanning components, adaptive fallback
-    engaged).  ``total_switches`` is excluded: the incremental core
-    re-fills only dirty components, so it does not re-count the
-    switches of untouched components the way a full re-fill does."""
+    engaged).  ``total_switches`` is excluded: the event cores re-fill
+    only dirty components, so they do not re-count the switches of
+    untouched components the way a full re-fill does."""
     topo = mesh_topology(14, extra_links=12, seed=seed, capacity=mbps(10))
     specs = _overload_specs(topo, seed=seed, num_flows=70)
     runs = {}
-    for core in ("reference", "incremental", "auto"):
+    for core in ("reference", "vectorized", "auto"):
         strategy = make_strategy("inrp", topo)
         runs[core] = FlowLevelSimulator(topo, strategy, specs, core=core).run()
-    for core in ("incremental", "auto"):
+    for core in ("vectorized", "auto"):
         ref, other = runs["reference"], runs[core]
         assert len(ref.records) == len(other.records)
         for a, b in zip(ref.records, other.records):
@@ -330,40 +339,57 @@ def test_inrp_incremental_verified_inside_simulator():
         topo,
         make_strategy("inrp", topo),
         specs,
-        core="incremental",
+        core="vectorized",
         verify_allocator=True,
     ).run()
     assert result.max_verify_deviation is not None
     assert result.max_verify_deviation <= 1e-9
 
 
-def test_auto_core_selects_vectorized_kernel():
-    """core="auto" rides the vectorized CSR kernel — per the committed
-    bench trajectory it is at least as fast as the scalar solvers at
-    every calibrated point — while "incremental" stays scalar and the
-    reference core reports no kernel at all."""
+def _count_kernel_fills(monkeypatch):
+    """Spy on both CSR fills; returns the per-name call counter."""
+    from repro.flowsim import kernel
+
+    calls = {"maxmin_fill": 0, "inrp_fill": 0}
+    for name in calls:
+        original = getattr(kernel, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, name, spy)
+    return calls
+
+
+def test_auto_core_selects_vectorized_kernel(monkeypatch):
+    """The event cores ("auto" and "vectorized") fill through the CSR
+    kernel, for max-min and INRP alike; the reference core never
+    touches it."""
+    calls = _count_kernel_fills(monkeypatch)
     topo = mesh_topology(14, extra_links=12, seed=2, capacity=mbps(10))
     specs = _workload_specs(topo, seed=2, num_flows=40)
-    expected = {
-        "auto": "vectorized",
-        "vectorized": "vectorized",
-        "incremental": "scalar",
-        "reference": None,
-    }
-    for core, kernel in expected.items():
-        sim = FlowLevelSimulator(topo, make_strategy("sp", topo), specs, core=core)
-        result = sim.run()
-        assert sim.kernel_used == kernel, core
-        assert result.kernel == kernel, core
+    for strategy_name, fill in (("sp", "maxmin_fill"), ("inrp", "inrp_fill")):
+        for core, uses_kernel in (
+            ("auto", True),
+            ("vectorized", True),
+            ("reference", False),
+        ):
+            before = calls[fill]
+            FlowLevelSimulator(
+                topo, make_strategy(strategy_name, topo), specs, core=core
+            ).run()
+            assert (calls[fill] > before) is uses_kernel, (strategy_name, core)
 
 
-def test_auto_core_still_adapts_with_vectorized_kernel():
+def test_auto_core_still_adapts_with_vectorized_kernel(monkeypatch):
     """The vectorized kernel does not disable the adaptive fallback:
-    on a spanning component the auto core both runs vectorized and
-    switches to full refills."""
+    on a spanning component the auto core both fills through the
+    kernel and switches to full refills."""
+    calls = _count_kernel_fills(monkeypatch)
     topo = line_topology(2)
     specs = _spanning_component_specs(120)
     sim = FlowLevelSimulator(topo, make_strategy("sp", topo), specs, core="auto")
     result = sim.run()
-    assert sim.kernel_used == "vectorized"
+    assert calls["maxmin_fill"] > 0
     assert result.full_refills > 0

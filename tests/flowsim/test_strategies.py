@@ -100,10 +100,32 @@ def test_inrp_rejects_bad_pooling_fraction():
             make_strategy("inrp", fig3_topology(), pooling_fraction=bad)
 
 
-def test_partial_pooling_downgrades_vectorized_kernel():
+def test_partial_pooling_fills_through_the_kernel(monkeypatch):
+    """A pooled INRP allocator fills through ``kernel.inrp_fill`` (no
+    second, scalar fill path) and gets the pooled rate."""
+    from repro.flowsim import kernel
+
+    calls = []
+    original = kernel.inrp_fill
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("pooling_fraction"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "inrp_fill", spy)
     topo = fig3_topology()
-    partial = make_strategy("inrp", topo, pooling_fraction=0.5)
-    allocator = partial.incremental_allocator(kernel="vectorized")
-    assert allocator._kernel == "scalar"
-    full = make_strategy("inrp", topo)
-    assert full.incremental_allocator(kernel="vectorized")._kernel == "vectorized"
+    allocator = make_strategy(
+        "inrp", topo, pooling_fraction=0.5
+    ).incremental_allocator()
+    allocator.add_flow(1, (1, 2, 4), mbps(10))
+    rates, _, _ = allocator.recompute()
+    assert calls == [0.5]
+    assert rates[1] == pytest.approx(mbps(3.5))
+
+
+@pytest.mark.parametrize("name", ["sp", "ecmp", "inrp"])
+def test_incremental_allocator_rejects_unknown_kernel(name):
+    strategy = make_strategy(name, fig3_topology())
+    assert strategy.incremental_allocator(kernel="vectorized") is not None
+    with pytest.raises(ConfigurationError, match="vectorized"):
+        strategy.incremental_allocator(kernel="scalar")

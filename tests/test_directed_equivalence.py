@@ -74,7 +74,7 @@ def _flow_specs():
     ]
 
 
-@pytest.mark.parametrize("core", ["reference", "incremental", "vectorized"])
+@pytest.mark.parametrize("core", ["reference", "vectorized", "auto"])
 @pytest.mark.parametrize("mode", ["sp", "inrp"])
 def test_flow_cores_reproduce_pre_refactor_goldens(mode, core):
     topo = fig3_topology()
